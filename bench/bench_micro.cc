@@ -11,7 +11,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,6 +26,7 @@
 #include "nn/parallel_train.h"
 #include "nn/quant.h"
 #include "nn/rnn.h"
+#include "obs/json.h"
 #include "text/bm25.h"
 #include "text/segmenter.h"
 
@@ -247,8 +248,8 @@ BENCHMARK(BM_ConceptNetQueries);
 //     ]
 //   }
 //
-// The file is emitted one entry per line and read back line-wise by the
-// --baseline gate, so writer and parser live in this one file.
+// The file is emitted one entry per line; the --baseline gate reads it
+// back through obs::ParseJson.
 
 double TimeUsPerIter(const std::function<void()>& fn) {
   fn();  // warmup: first-touch pages, build vocab caches, etc.
@@ -432,28 +433,34 @@ bool WriteKernelProfile(
   return static_cast<bool>(out);
 }
 
-// Line-wise parse of the format WriteKernelProfile emits.
-bool ReadKernelProfile(const std::string& path,
-                       std::vector<std::pair<std::string, double>>* entries) {
+// Reads a BENCH_kernels.json baseline. Any parse error, a wrong schema, or
+// an entry without a name or timing fails the whole read, so a damaged
+// baseline can never quietly gate fewer kernels.
+Status ReadKernelProfile(const std::string& path,
+                         std::vector<std::pair<std::string, double>>* entries) {
   std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  std::string line;
-  bool saw_schema = false;
-  while (std::getline(in, line)) {
-    if (line.find("alicoco.bench_kernels.v1") != std::string::npos) {
-      saw_schema = true;
-    }
-    size_t np = line.find("\"name\": \"");
-    size_t up = line.find("\"us_per_iter\": ");
-    if (np == std::string::npos || up == std::string::npos) continue;
-    np += std::strlen("\"name\": \"");
-    size_t ne = line.find('"', np);
-    if (ne == std::string::npos) continue;
-    double us = std::strtod(line.c_str() + up + std::strlen("\"us_per_iter\": "),
-                            nullptr);
-    entries->emplace_back(line.substr(np, ne - np), us);
+  if (!in.is_open()) return Status::IOError("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  ALICOCO_ASSIGN_OR_RETURN(obs::JsonValue root, obs::ParseJson(text.str()));
+  ALICOCO_ASSIGN_OR_RETURN(std::string schema,
+                           obs::JsonRequireString(root, "schema"));
+  if (schema != "alicoco.bench_kernels.v1") {
+    return Status::Corruption("unknown schema '" + schema + "'");
   }
-  return saw_schema && !entries->empty();
+  const obs::JsonValue* list = root.Find("entries");
+  if (list == nullptr || list->kind != obs::JsonValue::Kind::kArray ||
+      list->array.empty()) {
+    return Status::Corruption("missing or empty 'entries' array");
+  }
+  for (const obs::JsonValue& entry : list->array) {
+    ALICOCO_ASSIGN_OR_RETURN(std::string name,
+                             obs::JsonRequireString(entry, "name"));
+    ALICOCO_ASSIGN_OR_RETURN(double us,
+                             obs::JsonRequireNumber(entry, "us_per_iter"));
+    entries->emplace_back(std::move(name), us);
+  }
+  return Status::OK();
 }
 
 int KernelSmokeMain(const std::string& out_path, const std::string& baseline,
@@ -468,8 +475,10 @@ int KernelSmokeMain(const std::string& out_path, const std::string& baseline,
   if (baseline.empty()) return 0;
 
   std::vector<std::pair<std::string, double>> base;
-  if (!ReadKernelProfile(baseline, &base)) {
-    std::fprintf(stderr, "bench_micro: bad baseline %s\n", baseline.c_str());
+  Status read = ReadKernelProfile(baseline, &base);
+  if (!read.ok()) {
+    std::fprintf(stderr, "bench_micro: bad baseline %s: %s\n",
+                 baseline.c_str(), read.ToString().c_str());
     return 1;
   }
   int failures = 0;

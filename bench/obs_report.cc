@@ -2,12 +2,16 @@
 //
 // Runs the bench world through the full construction pipeline with the
 // tracer + metrics registry + profiling tier attached and writes the
-// run's whole picture into --outdir:
+// run's whole picture:
 //
-//   BENCH_pipeline.json  per-stage wall time + domain counters (--out)
-//   BENCH_profile.json   per-stage cpu/lock-wait/queue-wait/alloc
-//                        attribution + disabled-mode overhead proof
-//                        (--profile-out, schema alicoco.bench_profile.v1)
+//   BENCH_profile.json   the stage profile (--out, schema
+//                        alicoco.bench_profile.v1, obs/prof/bench_profile.h):
+//                        per-stage wall/cpu/lock-wait/queue-wait/alloc
+//                        attribution + domain counters, and the
+//                        disabled-mode overhead proof
+//
+// and, into --outdir:
+//
 //   profile.collapsed    collapsed-stack CPU samples (flamegraph input)
 //   metrics.prom         Prometheus text exposition of every metric,
 //                        including per-named-mutex contention series
@@ -16,9 +20,9 @@
 //   crash_flight.jsonl   flight-recorder dump — only on CHECK failure
 //                        or fatal signal
 //
-// Gates (all exit 1 on failure):
-//   --baseline FILE          wall-time gate per stage, as before
-//   --profile-baseline FILE  cpu-time gate per stage (CompareBenchProfile)
+// Gates (every failing check is printed, then exit 1):
+//   --baseline FILE          per-stage wall and cpu time vs a committed
+//                            profile (CompareBenchProfile)
 //   --overhead-limit PCT     projected idle instrumentation cost must
 //                            stay under PCT% of total wall (default 1.0)
 
@@ -39,7 +43,6 @@
 #include "common/mutex.h"
 #include "common/table_printer.h"
 #include "obs/exporters.h"
-#include "obs/pipeline_profile.h"
 #include "obs/prof/bench_profile.h"
 #include "obs/prof/cpu_profiler.h"
 #include "obs/prof/flight_recorder.h"
@@ -52,11 +55,9 @@ namespace {
 using alicoco::obs::prof::DisabledOverhead;
 
 struct Options {
-  std::string out = "BENCH_pipeline.json";
-  std::string profile_out = "BENCH_profile.json";
+  std::string out = "BENCH_profile.json";
   std::string outdir = ".";
   std::string baseline;          // empty = no gate
-  std::string profile_baseline;  // empty = no gate
   double max_regress = 2.0;      // tolerant: CI machines are noisy
   double slack_ms = 250.0;       // absolute floor for tiny stages
   double overhead_limit = 1.0;   // % of total wall time
@@ -74,10 +75,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       const char* v = next();
       if (v == nullptr) return false;
       opts->out = v;
-    } else if (arg == "--profile-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts->profile_out = v;
     } else if (arg == "--outdir") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -86,10 +83,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       const char* v = next();
       if (v == nullptr) return false;
       opts->baseline = v;
-    } else if (arg == "--profile-baseline") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opts->profile_baseline = v;
     } else if (arg == "--max-regress") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -111,8 +104,7 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     } else {
       std::fprintf(
           stderr,
-          "usage: obs_report [--out FILE] [--profile-out FILE] "
-          "[--outdir DIR] [--baseline FILE] [--profile-baseline FILE] "
+          "usage: obs_report [--out FILE] [--outdir DIR] [--baseline FILE] "
           "[--max-regress X] [--slack-ms MS] [--overhead-limit PCT] "
           "[--cpu-hz HZ] [--fast]\n");
       return false;
@@ -332,27 +324,24 @@ int main(int argc, char** argv) {
   }
 
   std::vector<obs::SpanRecord> spans = tracer.Records();
-  obs::PipelineProfile profile = obs::BuildPipelineProfile(spans, registry);
-  profile.world = opts.fast ? "bench-fast" : "bench";
 
-  // ---- BENCH_profile.json: attribution + overhead proof ----
-  obs::prof::BenchProfile bench_profile;
-  bench_profile.world = profile.world;
-  bench_profile.stages = stage_profiler.TakeStages();
-  bench_profile.total_ms = profile.total_ms;
-  for (const auto& stage : bench_profile.stages) {
-    bench_profile.total_cpu_ms += stage.cpu_ms;
+  obs::prof::BenchProfile profile;
+  profile.world = opts.fast ? "bench-fast" : "bench";
+  profile.stages = stage_profiler.TakeStages();
+  obs::prof::AttachStageCounters(registry, &profile.stages);
+  for (const auto& stage : profile.stages) {
+    profile.total_ms += stage.wall_ms;
+    profile.total_cpu_ms += stage.cpu_ms;
   }
-  bench_profile.peak_rss_mb =
+  profile.peak_rss_mb =
       static_cast<double>(obs::prof::PeakRssBytes()) / (1024.0 * 1024.0);
-  bench_profile.heap_tracked = obs::prof::HeapHookLinked();
-  bench_profile.overhead = MeasureDisabledOverhead(
+  profile.heap_tracked = obs::prof::HeapHookLinked();
+  profile.overhead = MeasureDisabledOverhead(
       lock_metrics.total_acquires(), heap_at_end.allocs, profile.total_ms);
 
   obs::prof::CpuProfile cpu_profile = cpu_profiler.TakeProfile();
 
   bool io_ok = WriteFile(opts.out, profile.ToJson());
-  io_ok &= WriteFile(opts.profile_out, bench_profile.ToJson());
   io_ok &= WriteFile(opts.outdir + "/profile.collapsed",
                      cpu_profile.ToCollapsed());
   io_ok &= WriteFile(opts.outdir + "/metrics.prom",
@@ -363,7 +352,7 @@ int main(int argc, char** argv) {
   TablePrinter table("Per-stage attribution (" + profile.world + " world)");
   table.SetHeader({"stage", "wall_ms", "cpu_ms", "lock_wait_ms",
                    "queue_wait_ms", "alloc_mb"});
-  for (const auto& stage : bench_profile.stages) {
+  for (const auto& stage : profile.stages) {
     table.AddRow({stage.name, TablePrinter::Num(stage.wall_ms, 1),
                   TablePrinter::Num(stage.cpu_ms, 1),
                   TablePrinter::Num(stage.lock_wait_ms, 2),
@@ -374,32 +363,32 @@ int main(int argc, char** argv) {
   std::printf(
       "total: %.1fms wall, %.1fms cpu, peak rss %.0fMB, %zu spans, "
       "%llu cpu samples (%llu dropped)\n",
-      profile.total_ms, bench_profile.total_cpu_ms,
-      bench_profile.peak_rss_mb, spans.size(),
+      profile.total_ms, profile.total_cpu_ms,
+      profile.peak_rss_mb, spans.size(),
       static_cast<unsigned long long>(cpu_profile.samples),
       static_cast<unsigned long long>(cpu_profile.dropped));
   std::fputs(cpu_profile.TopNText(10).c_str(), stdout);
   std::printf(
       "disabled-mode overhead: %.2fns/lock x %llu + %.2fns/alloc x %llu "
       "= %.4f%% of wall\n",
-      bench_profile.overhead.per_lock_ns,
-      static_cast<unsigned long long>(bench_profile.overhead.lock_ops),
-      bench_profile.overhead.per_alloc_ns,
-      static_cast<unsigned long long>(bench_profile.overhead.alloc_ops),
-      bench_profile.overhead.pct_of_total);
+      profile.overhead.per_lock_ns,
+      static_cast<unsigned long long>(profile.overhead.lock_ops),
+      profile.overhead.per_alloc_ns,
+      static_cast<unsigned long long>(profile.overhead.alloc_ops),
+      profile.overhead.pct_of_total);
 
   if (!io_ok) return 1;
 
-  // ---- Gate: idle instrumentation must stay under the limit ----
-  if (bench_profile.overhead.pct_of_total >= opts.overhead_limit) {
+  // ---- Gates: idle instrumentation cost, then per-stage wall and cpu
+  // time vs the committed baseline. Every failure is reported. ----
+  bool gate_ok = true;
+  if (profile.overhead.pct_of_total >= opts.overhead_limit) {
     std::fprintf(stderr,
                  "OVERHEAD: disabled-mode instrumentation projects to "
                  "%.4f%% of wall time (limit %.2f%%)\n",
-                 bench_profile.overhead.pct_of_total, opts.overhead_limit);
-    return 1;
+                 profile.overhead.pct_of_total, opts.overhead_limit);
+    gate_ok = false;
   }
-
-  // ---- Gate: wall-time trajectory vs committed baseline ----
   if (!opts.baseline.empty()) {
     std::ifstream in(opts.baseline, std::ios::binary);
     if (!in.is_open()) {
@@ -409,53 +398,23 @@ int main(int argc, char** argv) {
     }
     std::ostringstream text;
     text << in.rdbuf();
-    Result<obs::PipelineProfile> baseline =
-        obs::PipelineProfile::FromJson(text.str());
+    Result<obs::prof::BenchProfile> baseline =
+        obs::prof::BenchProfile::FromJson(text.str());
     if (!baseline.ok()) {
       std::fprintf(stderr, "obs_report: bad baseline: %s\n",
                    baseline.status().ToString().c_str());
       return 1;
     }
-    std::vector<std::string> regressions = obs::CompareToBaseline(
-        *baseline, profile, opts.max_regress, opts.slack_ms);
-    if (!regressions.empty()) {
-      for (const auto& line : regressions) {
-        std::fprintf(stderr, "REGRESSION: %s\n", line.c_str());
-      }
-      return 1;
-    }
-    std::printf("baseline gate passed (max-regress %.1fx, slack %.0fms)\n",
-                opts.max_regress, opts.slack_ms);
-  }
-
-  // ---- Gate: cpu-time trajectory vs committed profile baseline ----
-  if (!opts.profile_baseline.empty()) {
-    std::ifstream in(opts.profile_baseline, std::ios::binary);
-    if (!in.is_open()) {
-      std::fprintf(stderr, "obs_report: cannot read profile baseline %s\n",
-                   opts.profile_baseline.c_str());
-      return 1;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    Result<obs::prof::BenchProfile> baseline =
-        obs::prof::BenchProfile::FromJson(text.str());
-    if (!baseline.ok()) {
-      std::fprintf(stderr, "obs_report: bad profile baseline: %s\n",
-                   baseline.status().ToString().c_str());
-      return 1;
-    }
     std::vector<std::string> regressions = obs::prof::CompareBenchProfile(
-        *baseline, bench_profile, opts.max_regress, opts.slack_ms);
-    if (!regressions.empty()) {
-      for (const auto& line : regressions) {
-        std::fprintf(stderr, "REGRESSION: %s\n", line.c_str());
-      }
-      return 1;
+        *baseline, profile, opts.max_regress, opts.slack_ms);
+    for (const auto& line : regressions) {
+      std::fprintf(stderr, "REGRESSION: %s\n", line.c_str());
     }
-    std::printf(
-        "profile baseline gate passed (max-regress %.1fx, slack %.0fms)\n",
-        opts.max_regress, opts.slack_ms);
+    if (regressions.empty()) {
+      std::printf("baseline gate passed (max-regress %.1fx, slack %.0fms)\n",
+                  opts.max_regress, opts.slack_ms);
+    }
+    gate_ok &= regressions.empty();
   }
-  return 0;
+  return gate_ok ? 0 : 1;
 }

@@ -227,6 +227,15 @@ Result<double> JsonRequireNumber(const JsonValue& object,
   return v->number;
 }
 
+Result<uint64_t> JsonRequireCount(const JsonValue& object,
+                                  const std::string& key) {
+  ALICOCO_ASSIGN_OR_RETURN(double value, JsonRequireNumber(object, key));
+  if (!(value >= 0 && value < 18446744073709551616.0)) {
+    return Status::Corruption("count field '" + key + "' out of range");
+  }
+  return static_cast<uint64_t>(value);
+}
+
 Result<std::string> JsonRequireString(const JsonValue& object,
                                       const std::string& key) {
   const JsonValue* v = object.Find(key);

@@ -1,16 +1,19 @@
-// Minimal JSON reader shared by the profile schemas.
+// The tree's one JSON reader.
 //
-// Just enough of RFC 8259 for the BENCH_*.json formats: objects, arrays,
-// strings, numbers, true/false/null. Key order is preserved, duplicate
-// keys keep their first occurrence in Find, and unknown fields are the
-// caller's business to ignore — which is what lets the schemas grow
-// without breaking committed baselines. Writing stays with each schema
-// (obs/pipeline_profile.h, obs/prof/bench_profile.h); only reading is
-// shared here.
+// Just enough of RFC 8259 for the JSON the repo reads back: the BENCH_*.json
+// baselines (stage profile, kernel suite, lint self-bench) and alicoco_lint's
+// SARIF output. Objects, arrays, strings, numbers, true/false/null. Key
+// order is preserved, duplicate keys keep their first occurrence in Find,
+// and unknown fields are the caller's business to ignore — which is what
+// lets the schemas grow without breaking committed baselines. Nesting depth
+// is capped and out-of-range numbers are a parse error, so corrupt input
+// fails with a Corruption status. Writing stays with each format; strings
+// are escaped with obs::JsonEscape (obs/exporters.h).
 
 #ifndef ALICOCO_OBS_JSON_H_
 #define ALICOCO_OBS_JSON_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +49,11 @@ struct JsonValue {
                                                const std::string& key);
 [[nodiscard]] Result<std::string> JsonRequireString(const JsonValue& object,
                                                     const std::string& key);
+/// A count field: a number in [0, 2^64), truncated toward zero. Anything
+/// else is Corruption, so a corrupt file never reaches the conversion to
+/// uint64_t, which would be undefined for it.
+[[nodiscard]] Result<uint64_t> JsonRequireCount(const JsonValue& object,
+                                                const std::string& key);
 
 }  // namespace alicoco::obs
 

@@ -3,11 +3,12 @@
 //
 // The paper's production system "monitors dynamic-edge quality regularly"
 // (AliCoCo Section 6); this layer is the repo's equivalent: every pipeline
-// stage, serving path, and worker pool reports through one registry that
-// the exporters (obs/exporters.h) turn into Prometheus text or the
-// BENCH_pipeline.json profile. Instruments returned by a Registry are
-// owned by it and remain valid for its lifetime, so hot paths hold the
-// pointer and never re-resolve the name.
+// stage, serving path, and worker pool reports through one registry. The
+// exporters (obs/exporters.h) turn it into Prometheus text, and
+// obs::prof::AttachStageCounters copies its `pipeline.<stage>.*` counters
+// and gauges into the BENCH_profile.json stage profile. Instruments
+// returned by a Registry are owned by it and remain valid for its
+// lifetime, so hot paths hold the pointer and never re-resolve the name.
 //
 //   obs::Registry registry;
 //   obs::Counter* mined = registry.GetCounter("pipeline.mining.accepted");

@@ -63,7 +63,13 @@ std::string BenchProfile::ToJson() const {
     out += ", \"queue_wait_ms\": " + FormatDouble(s.queue_wait_ms);
     out += ", \"alloc_mb\": " + FormatDouble(s.alloc_mb);
     out += ", \"allocs\": " + std::to_string(s.allocs);
-    out += "}";
+    out += ", \"counters\": {";
+    size_t n = 0;
+    for (const auto& [key, value] : s.counters) {
+      if (n++ != 0) out += ", ";
+      out += "\"" + JsonEscape(key) + "\": " + FormatDouble(value);
+    }
+    out += "}}";
     if (i + 1 != stages.size()) out += ",";
     out += "\n";
   }
@@ -89,6 +95,18 @@ Result<BenchProfile> BenchProfile::FromJson(const std::string& text) {
   if (schema != kSchemaId) {
     return Status::Corruption("unknown profile schema '" + schema + "'");
   }
+  const JsonValue* stages = root.Find("stages");
+  if (stages == nullptr || stages->kind != JsonValue::Kind::kArray) {
+    return Status::Corruption("missing 'stages' array");
+  }
+  // Plausibility caps: a real pipeline has a handful of stages and a few
+  // counters each; a profile claiming thousands is corrupt input, not a
+  // request to build an arbitrarily large report.
+  constexpr size_t kMaxStages = 1024;
+  constexpr size_t kMaxCountersPerStage = 4096;
+  if (stages->array.size() > kMaxStages) {
+    return Status::Corruption("implausible stage count in profile");
+  }
   BenchProfile profile;
   ALICOCO_ASSIGN_OR_RETURN(profile.world, JsonRequireString(root, "world"));
   ALICOCO_ASSIGN_OR_RETURN(profile.total_ms,
@@ -102,10 +120,6 @@ Result<BenchProfile> BenchProfile::FromJson(const std::string& text) {
       tracked != nullptr && tracked->kind == JsonValue::Kind::kBool &&
       tracked->boolean;
 
-  const JsonValue* stages = root.Find("stages");
-  if (stages == nullptr || stages->kind != JsonValue::Kind::kArray) {
-    return Status::Corruption("missing 'stages' array");
-  }
   for (const JsonValue& entry : stages->array) {
     if (entry.kind != JsonValue::Kind::kObject) {
       return Status::Corruption("stage entries must be objects");
@@ -119,8 +133,22 @@ Result<BenchProfile> BenchProfile::FromJson(const std::string& text) {
     ALICOCO_ASSIGN_OR_RETURN(s.queue_wait_ms,
                              JsonRequireNumber(entry, "queue_wait_ms"));
     ALICOCO_ASSIGN_OR_RETURN(s.alloc_mb, JsonRequireNumber(entry, "alloc_mb"));
-    ALICOCO_ASSIGN_OR_RETURN(double allocs, JsonRequireNumber(entry, "allocs"));
-    s.allocs = static_cast<uint64_t>(allocs);
+    ALICOCO_ASSIGN_OR_RETURN(s.allocs, JsonRequireCount(entry, "allocs"));
+    const JsonValue* counters = entry.Find("counters");
+    if (counters != nullptr) {
+      if (counters->kind != JsonValue::Kind::kObject) {
+        return Status::Corruption("stage 'counters' must be an object");
+      }
+      if (counters->object.size() > kMaxCountersPerStage) {
+        return Status::Corruption("implausible counter count in profile");
+      }
+      for (const auto& [key, value] : counters->object) {
+        if (value.kind != JsonValue::Kind::kNumber) {
+          return Status::Corruption("counter '" + key + "' must be numeric");
+        }
+        s.counters[key] = value.number;
+      }
+    }
     profile.stages.push_back(std::move(s));
   }
 
@@ -133,16 +161,33 @@ Result<BenchProfile> BenchProfile::FromJson(const std::string& text) {
                              JsonRequireNumber(*overhead, "per_lock_ns"));
     ALICOCO_ASSIGN_OR_RETURN(profile.overhead.per_alloc_ns,
                              JsonRequireNumber(*overhead, "per_alloc_ns"));
-    ALICOCO_ASSIGN_OR_RETURN(double lock_ops,
-                             JsonRequireNumber(*overhead, "lock_ops"));
-    ALICOCO_ASSIGN_OR_RETURN(double alloc_ops,
-                             JsonRequireNumber(*overhead, "alloc_ops"));
-    profile.overhead.lock_ops = static_cast<uint64_t>(lock_ops);
-    profile.overhead.alloc_ops = static_cast<uint64_t>(alloc_ops);
+    ALICOCO_ASSIGN_OR_RETURN(profile.overhead.lock_ops,
+                             JsonRequireCount(*overhead, "lock_ops"));
+    ALICOCO_ASSIGN_OR_RETURN(profile.overhead.alloc_ops,
+                             JsonRequireCount(*overhead, "alloc_ops"));
     ALICOCO_ASSIGN_OR_RETURN(profile.overhead.pct_of_total,
                              JsonRequireNumber(*overhead, "pct_of_total"));
   }
   return profile;
+}
+
+void AttachStageCounters(const Registry& registry,
+                         std::vector<StageAttribution>* stages) {
+  const std::vector<std::string> counter_names = registry.CounterNames();
+  const std::vector<std::string> gauge_names = registry.GaugeNames();
+  for (StageAttribution& stage : *stages) {
+    const std::string prefix = "pipeline." + stage.name + ".";
+    for (const std::string& name : counter_names) {
+      if (!StartsWith(name, prefix)) continue;
+      stage.counters[name.substr(prefix.size())] =
+          static_cast<double>(registry.FindCounter(name)->value());
+    }
+    for (const std::string& name : gauge_names) {
+      if (!StartsWith(name, prefix)) continue;
+      stage.counters[name.substr(prefix.size())] =
+          registry.FindGauge(name)->value();
+    }
+  }
 }
 
 std::vector<std::string> CompareBenchProfile(const BenchProfile& baseline,
@@ -150,6 +195,15 @@ std::vector<std::string> CompareBenchProfile(const BenchProfile& baseline,
                                              double max_ratio,
                                              double slack_ms) {
   std::vector<std::string> regressions;
+  auto check = [&](const std::string& stage, const char* metric,
+                   double base_ms, double cur_ms) {
+    const double limit = base_ms * max_ratio + slack_ms;
+    if (cur_ms <= limit) return;
+    regressions.push_back(StringPrintf(
+        "stage '%s' %s regressed: %.1fms > limit %.1fms (baseline %.1fms "
+        "x %.2g + %.0fms slack)",
+        stage.c_str(), metric, cur_ms, limit, base_ms, max_ratio, slack_ms));
+  };
   for (const StageAttribution& base_stage : baseline.stages) {
     const StageAttribution* cur = current.FindStage(base_stage.name);
     if (cur == nullptr) {
@@ -157,14 +211,8 @@ std::vector<std::string> CompareBenchProfile(const BenchProfile& baseline,
                             "' missing from the current profile");
       continue;
     }
-    double limit = base_stage.cpu_ms * max_ratio + slack_ms;
-    if (cur->cpu_ms > limit) {
-      regressions.push_back(StringPrintf(
-          "stage '%s' cpu regressed: %.1fms > limit %.1fms (baseline "
-          "%.1fms x %.2g + %.0fms slack)",
-          base_stage.name.c_str(), cur->cpu_ms, limit, base_stage.cpu_ms,
-          max_ratio, slack_ms));
-    }
+    check(base_stage.name, "wall", base_stage.wall_ms, cur->wall_ms);
+    check(base_stage.name, "cpu", base_stage.cpu_ms, cur->cpu_ms);
   }
   return regressions;
 }

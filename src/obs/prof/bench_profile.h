@@ -1,6 +1,26 @@
-// BENCH_profile.json (schema alicoco.bench_profile.v1): per-stage
-// attribution of pipeline wall time to cpu / lock-wait / queue-wait /
-// allocation, plus the measured disabled-mode instrumentation overhead.
+// BENCH_profile.json (schema alicoco.bench_profile.v1): the repo's one
+// stage-profile format. Per stage it records wall time, its attribution
+// to cpu / lock-wait / queue-wait / allocation, and the stage's domain
+// counters; the whole run adds the measured disabled-mode
+// instrumentation overhead. bench/obs_report writes it, and the copy
+// committed at the repo root is the baseline tools/ci.sh gates against.
+//
+//   {
+//     "schema": "alicoco.bench_profile.v1",
+//     "world": "bench", "total_ms": 6380.0, "total_cpu_ms": 7622.4,
+//     "peak_rss_mb": 25.4, "heap_tracked": true,
+//     "stages": [
+//       {"name": "mining", "wall_ms": 2256.3, "cpu_ms": 2577.6,
+//        "lock_wait_ms": 0, "queue_wait_ms": 0, "alloc_mb": 778.8,
+//        "allocs": 6471657, "counters": {"accepted": 57}},
+//       ...
+//     ],
+//     "overhead": {"per_lock_ns": 0, ..., "pct_of_total": 0.31}
+//   }
+//
+// Stage order is execution order; total_ms and total_cpu_ms are the
+// sums over stages. Parsing accepts any field order and ignores unknown
+// keys, so the format can grow without breaking committed baselines.
 //
 // Where the numbers come from (the attribution model, DESIGN.md §6):
 //   wall_ms       steady-clock span of the stage on the driving thread.
@@ -14,6 +34,8 @@
 //                 it up.
 //   alloc_mb /    delta of the heap hook counters: bytes and calls
 //   allocs        requested from operator new during the stage.
+//   counters      the registry's `pipeline.<stage>.*` counters and gauges
+//                 at the end of the run (AttachStageCounters).
 // Stages run sequentially, so process-wide deltas attribute cleanly to
 // the stage that was active; worker-thread costs land in the stage that
 // scheduled them, which is the attribution a stage owner wants.
@@ -28,6 +50,7 @@
 #define ALICOCO_OBS_PROF_BENCH_PROFILE_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -46,6 +69,7 @@ struct StageAttribution {
   double queue_wait_ms = 0;
   double alloc_mb = 0;
   uint64_t allocs = 0;
+  std::map<std::string, double> counters;  ///< sorted for stable output
 };
 
 /// Idle-cost proof for the always-compiled-in instrumentation.
@@ -73,9 +97,16 @@ struct BenchProfile {
   static Result<BenchProfile> FromJson(const std::string& text);
 };
 
-/// Regression gate mirroring obs::CompareToBaseline, but on cpu_ms — the
-/// attribution signal this schema exists for (wall time is already gated
-/// by the pipeline profile). Also flags stages missing from `current`.
+/// Fills each stage's counters from every Counter and Gauge in `registry`
+/// named `pipeline.<stage>.<key>`, keyed by `<key>`. Call after the build:
+/// the values are the registry's totals, not per-stage deltas.
+void AttachStageCounters(const Registry& registry,
+                         std::vector<StageAttribution>* stages);
+
+/// Regression gate: one human-readable line per baseline stage that is
+/// missing from `current`, or whose current wall_ms or cpu_ms exceeds
+/// `baseline * max_ratio + slack_ms`. Empty result = gate passes. The
+/// slack term absorbs noise on stages whose absolute time is tiny.
 std::vector<std::string> CompareBenchProfile(const BenchProfile& baseline,
                                              const BenchProfile& current,
                                              double max_ratio,

@@ -9,9 +9,9 @@
 #   2. plain RelWithDebInfo build + full ctest, then the suite again with
 #      ALICOCO_SIMD=scalar so the portable kernel tier stays covered on
 #      AVX2 hardware
-#   3. pipeline profile gate (obs_report vs committed BENCH_pipeline.json)
-#      + profiling-tier gate: per-stage cpu attribution vs the committed
-#      BENCH_profile.json, collapsed-stack smoke, disabled-overhead <1%
+#   3. stage profile gate: obs_report's per-stage wall and cpu time vs the
+#      committed BENCH_profile.json, disabled-overhead <1%, collapsed-stack
+#      smoke and a schema re-read of the fresh profile
 #   4. kernel smoke gate (bench_micro vs committed BENCH_kernels.json)
 #   5. ASan+UBSan build + full ctest   (DCHECKs forced on), then an
 #      explicit corrupted-checkpoint corpus replay: every deserializer
@@ -58,19 +58,17 @@ build/tools/lint/alicoco_lint --root . --project src \
   --self-bench build/obs/BENCH_lint.json \
   --bench-baseline tools/lint/BENCH_lint.json --max-regress 0.25
 
-step "pipeline profile gate"
-# Re-runs the instrumented bench pipeline and compares per-stage wall time
-# against the committed baseline; a stage beyond 2x baseline + slack fails.
+step "stage profile gate"
+# Re-runs the instrumented bench pipeline and compares per-stage wall and
+# cpu time against the committed baseline; a stage beyond 2x baseline +
+# slack fails, as does idle instrumentation cost at or above 1% of wall.
 # The generous ratio + slack absorb machine-to-machine variance while still
 # catching order-of-magnitude stage regressions.
 mkdir -p build/obs
-build/bench/obs_report --out build/obs/BENCH_pipeline.json --outdir build/obs \
-  --baseline BENCH_pipeline.json --max-regress 2.0 --slack-ms 500 \
-  --profile-out build/obs/BENCH_profile.json \
-  --profile-baseline BENCH_profile.json --overhead-limit 1.0
-
-step "profiling tier smoke"
-# The run above must leave a non-empty collapsed-stack dump (flamegraph
+build/bench/obs_report --out build/obs/BENCH_profile.json --outdir build/obs \
+  --baseline BENCH_profile.json --max-regress 2.0 --slack-ms 500 \
+  --overhead-limit 1.0
+# The run must also leave a non-empty collapsed-stack dump (flamegraph
 # input) and a profile whose schema the tooling can re-read.
 test -s build/obs/profile.collapsed
 python3 - <<'PY'
@@ -78,6 +76,8 @@ import json
 prof = json.load(open("build/obs/BENCH_profile.json"))
 assert prof["schema"] == "alicoco.bench_profile.v1", prof["schema"]
 assert len(prof["stages"]) >= 9, [s["name"] for s in prof["stages"]]
+mining = [s for s in prof["stages"] if s["name"] == "mining"]
+assert mining and mining[0].get("counters"), mining
 PY
 
 step "kernel smoke gate"
@@ -101,7 +101,7 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 step "corrupted-checkpoint corpus replay (ASan)"
 # Replays tests/corpus/ — truncated, bit-flipped, and oversized-count
 # inputs for every deserializer (kg snapshot, nn checkpoint + quantized
-# store, pipeline profile, SARIF, lint cache) — under ASan explicitly,
+# store, stage profile, SARIF, lint cache) — under ASan explicitly,
 # so a corrupt-input regression is named by the gate that catches it.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

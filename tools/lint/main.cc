@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "tools/lint/analyzer.h"
 #include "tools/lint/passes/passes.h"
 #include "tools/lint/sarif.h"
@@ -123,26 +124,26 @@ std::string WriteBenchJson(const BenchFigures& b) {
   return out.str();
 }
 
-/// Pulls one `"key": <number>` out of a baseline BENCH_lint.json. The
-/// schema is first-party and flat, so a line scan is enough.
-bool ReadJsonNumber(const std::string& text, const std::string& key,
-                    uint64_t* out) {
-  size_t pos = text.find("\"" + key + "\"");
-  if (pos == std::string::npos) return false;
-  pos = text.find(':', pos);
-  if (pos == std::string::npos) return false;
-  ++pos;
-  while (pos < text.size() && text[pos] == ' ') ++pos;
-  uint64_t value = 0;
-  bool any = false;
-  while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-    value = value * 10 + static_cast<uint64_t>(text[pos] - '0');
-    ++pos;
-    any = true;
+/// Reads the cold and warm cost figures of a baseline BENCH_lint.json.
+/// A truncated file, or a missing, non-numeric or negative figure, is an
+/// error rather than a partial match.
+alicoco::Result<BenchFigures> ReadBenchBaseline(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return alicoco::Status::IOError("cannot read bench baseline: " + path);
   }
-  if (!any) return false;
-  *out = value;
-  return true;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  ALICOCO_ASSIGN_OR_RETURN(alicoco::obs::JsonValue bench,
+                           alicoco::obs::ParseJson(buf.str()));
+  BenchFigures figures;
+  ALICOCO_ASSIGN_OR_RETURN(
+      figures.cold_cost_us,
+      alicoco::obs::JsonRequireCount(bench, "cold_cost_us"));
+  ALICOCO_ASSIGN_OR_RETURN(
+      figures.warm_cost_us,
+      alicoco::obs::JsonRequireCount(bench, "warm_cost_us"));
+  return figures;
 }
 
 }  // namespace
@@ -291,20 +292,10 @@ int main(int argc, char** argv) {
               << figures.taint_cost_us << "us)\n";
 
     if (!bench_baseline_path.empty()) {
-      std::ifstream baseline_in(bench_baseline_path, std::ios::binary);
-      if (!baseline_in) {
-        return Fail(alicoco::Status::IOError("cannot read bench baseline: " +
-                                             bench_baseline_path));
-      }
-      std::ostringstream buf;
-      buf << baseline_in.rdbuf();
-      uint64_t base_cold = 0, base_warm = 0;
-      if (!ReadJsonNumber(buf.str(), "cold_cost_us", &base_cold) ||
-          !ReadJsonNumber(buf.str(), "warm_cost_us", &base_warm)) {
-        return Fail(alicoco::Status::InvalidArgument(
-            "bench baseline missing cold_cost_us/warm_cost_us: " +
-            bench_baseline_path));
-      }
+      auto baseline = ReadBenchBaseline(bench_baseline_path);
+      if (!baseline.ok()) return Fail(baseline.status());
+      const uint64_t base_cold = baseline->cold_cost_us;
+      const uint64_t base_warm = baseline->warm_cost_us;
       const auto limit = [&](uint64_t base) {
         return static_cast<uint64_t>(static_cast<double>(base) *
                                      (1.0 + max_regress));

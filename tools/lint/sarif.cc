@@ -1,255 +1,20 @@
 #include "tools/lint/sarif.h"
 
-#include <cctype>
-#include <cstdio>
-#include <map>
 #include <string_view>
 #include <utility>
 
+#include "obs/exporters.h"
+#include "obs/json.h"
 #include "tools/lint/passes/passes.h"
 
 namespace alicoco::lint {
 namespace {
 
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\t': out->append("\\t"); break;
-      case '\r': out->append("\\r"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
+using obs::JsonValue;
+
+std::string Quote(std::string_view s) {
+  return "\"" + obs::JsonEscape(std::string(s)) + "\"";
 }
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader — only what ParseSarif needs.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    ALICOCO_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Status::Corruption("trailing bytes after JSON document");
-    }
-    return value;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  Status Fail(const std::string& why) const {
-    return Status::Corruption("SARIF JSON byte " + std::to_string(pos_) +
-                              ": " + why);
-  }
-
-  Result<JsonValue> ParseValue() {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end");
-    // A SARIF document is ~6 levels deep; a crafted file of nothing but
-    // '[' must hit a corruption error, not exhaust the stack.
-    if (depth_ >= kMaxDepth) return Fail("nesting too deep");
-    char c = text_[pos_];
-    if (c == '{' || c == '[') {
-      ++depth_;
-      Result<JsonValue> out = c == '{' ? ParseObject() : ParseArray();
-      --depth_;
-      return out;
-    }
-    if (c == '"') return ParseString();
-    if (c == 't' || c == 'f' || c == 'n') return ParseKeyword();
-    return ParseNumber();
-  }
-
-  Result<JsonValue> ParseObject() {
-    JsonValue out;
-    out.kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return out;
-    }
-    for (;;) {
-      ALICOCO_ASSIGN_OR_RETURN(JsonValue key, ParseString());
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return Fail("want ':'");
-      ++pos_;
-      ALICOCO_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-      out.object.emplace_back(std::move(key.str), std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        SkipSpace();
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return out;
-      }
-      return Fail("want ',' or '}'");
-    }
-  }
-
-  Result<JsonValue> ParseArray() {
-    JsonValue out;
-    out.kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return out;
-    }
-    for (;;) {
-      ALICOCO_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-      out.array.push_back(std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return out;
-      }
-      return Fail("want ',' or ']'");
-    }
-  }
-
-  Result<JsonValue> ParseString() {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != '"') return Fail("want '\"'");
-    ++pos_;
-    JsonValue out;
-    out.kind = JsonValue::Kind::kString;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.str.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Fail("dangling escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out.str.push_back('"'); break;
-        case '\\': out.str.push_back('\\'); break;
-        case '/': out.str.push_back('/'); break;
-        case 'n': out.str.push_back('\n'); break;
-        case 't': out.str.push_back('\t'); break;
-        case 'r': out.str.push_back('\r'); break;
-        case 'b': out.str.push_back('\b'); break;
-        case 'f': out.str.push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Fail("short \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail("bad \\u escape");
-            }
-          }
-          // The writer only emits \u for C0 control bytes.
-          out.str.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  Result<JsonValue> ParseKeyword() {
-    JsonValue out;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      pos_ += 4;
-      return out;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      pos_ += 5;
-      return out;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return out;
-    }
-    return Fail("unknown keyword");
-  }
-
-  Result<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("want a value");
-    JsonValue out;
-    out.kind = JsonValue::Kind::kNumber;
-    try {
-      out.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return Fail("bad number");
-    }
-    return out;
-  }
-
-  static constexpr int kMaxDepth = 64;
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
-};
 
 }  // namespace
 
@@ -270,10 +35,8 @@ std::string WriteSarif(const std::vector<Finding>& findings) {
                                   std::string_view rationale) {
     if (!first) out.append(",\n");
     first = false;
-    out.append("            {\"id\": ");
-    AppendJsonString(std::string(id), &out);
-    out.append(", \"shortDescription\": {\"text\": ");
-    AppendJsonString(std::string(rationale), &out);
+    out.append("            {\"id\": " + Quote(id));
+    out.append(", \"shortDescription\": {\"text\": " + Quote(rationale));
     out.append("}}");
   };
   for (const auto& rule : RuleRegistry()) {
@@ -288,15 +51,12 @@ std::string WriteSarif(const std::vector<Finding>& findings) {
   for (size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
     out.append(i == 0 ? "\n" : ",\n");
-    out.append("        {\n          \"ruleId\": ");
-    AppendJsonString(f.rule, &out);
+    out.append("        {\n          \"ruleId\": " + Quote(f.rule));
     out.append(",\n          \"level\": \"warning\",\n");
-    out.append("          \"message\": {\"text\": ");
-    AppendJsonString(f.message, &out);
+    out.append("          \"message\": {\"text\": " + Quote(f.message));
     out.append("},\n          \"locations\": [\n");
     out.append("            {\"physicalLocation\": {");
-    out.append("\"artifactLocation\": {\"uri\": ");
-    AppendJsonString(f.file, &out);
+    out.append("\"artifactLocation\": {\"uri\": " + Quote(f.file));
     out.append("}, \"region\": {\"startLine\": ");
     out.append(std::to_string(f.line < 1 ? 1 : f.line));
     out.append("}}}\n          ]\n        }");
@@ -307,7 +67,7 @@ std::string WriteSarif(const std::vector<Finding>& findings) {
 }
 
 Result<std::vector<Finding>> ParseSarif(const std::string& text) {
-  ALICOCO_ASSIGN_OR_RETURN(JsonValue root, JsonReader(text).Parse());
+  ALICOCO_ASSIGN_OR_RETURN(JsonValue root, obs::ParseJson(text));
   if (root.kind != JsonValue::Kind::kObject) {
     return Status::Corruption("SARIF root is not an object");
   }
