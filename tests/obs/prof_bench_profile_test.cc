@@ -62,14 +62,25 @@ TEST(BenchProfileTest, JsonRoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(p.stages[0].queue_wait_ms, 90.75);
   EXPECT_DOUBLE_EQ(p.stages[0].alloc_mb, 244.5);
   EXPECT_EQ(p.stages[0].allocs, 1234567u);
-  EXPECT_EQ(p.stages[0].counters, original.stages[0].counters);
   EXPECT_EQ(p.stages[1].name, "tagging");
-  EXPECT_TRUE(p.stages[1].counters.empty());
   EXPECT_DOUBLE_EQ(p.overhead.per_lock_ns, 0.5);
   EXPECT_DOUBLE_EQ(p.overhead.per_alloc_ns, 1.25);
   EXPECT_EQ(p.overhead.lock_ops, 42u);
   EXPECT_EQ(p.overhead.alloc_ops, 10000000u);
   EXPECT_DOUBLE_EQ(p.overhead.pct_of_total, 0.53);
+}
+
+TEST(BenchProfileTest, CountersRoundTrip) {
+  BenchProfile original = MakeProfile();
+  original.stages[0].counters["accepted"] = 42;
+  Result<BenchProfile> parsed = BenchProfile::FromJson(original.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->stages.size(), 2u);
+  EXPECT_EQ(parsed->stages[0].counters,
+            (std::map<std::string, double>{{"accepted", 42},
+                                           {"audit_accuracy", 0.72},
+                                           {"candidates", 321}}));
+  EXPECT_TRUE(parsed->stages[1].counters.empty());
 }
 
 TEST(BenchProfileTest, FromJsonRejectsWrongSchema) {
@@ -80,15 +91,27 @@ TEST(BenchProfileTest, FromJsonRejectsWrongSchema) {
   Result<BenchProfile> parsed = BenchProfile::FromJson(text);
   EXPECT_FALSE(parsed.ok());
   EXPECT_TRUE(parsed.status().IsCorruption());
+}
+
+TEST(BenchProfileTest, FromJsonRejectsUnknownSchema) {
+  Result<BenchProfile> parsed = BenchProfile::FromJson(
+      R"({"schema": "somebody.elses.v9", "world": "x", "total_ms": 1,
+          "total_cpu_ms": 1, "peak_rss_mb": 1, "stages": []})");
+  ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().ToString().find("unknown profile schema"),
             std::string::npos);
 }
 
 TEST(BenchProfileTest, FromJsonRejectsGarbage) {
-  EXPECT_FALSE(BenchProfile::FromJson("").ok());
   EXPECT_FALSE(BenchProfile::FromJson("not json").ok());
-  EXPECT_FALSE(BenchProfile::FromJson(R"({"schema": )").ok());
   EXPECT_FALSE(BenchProfile::FromJson("[]").ok());
+}
+
+TEST(BenchProfileTest, FromJsonRejectsMalformedInput) {
+  EXPECT_FALSE(BenchProfile::FromJson("").ok());
+  EXPECT_FALSE(BenchProfile::FromJson("not json at all").ok());
+  EXPECT_FALSE(BenchProfile::FromJson(R"({"schema": )").ok());
+  EXPECT_FALSE(BenchProfile::FromJson(R"([1, 2, 3])").ok());
 }
 
 TEST(BenchProfileTest, FromJsonRequiresCoreFields) {
@@ -167,6 +190,16 @@ TEST(BenchProfileTest, FindStageByName) {
   ASSERT_NE(profile.FindStage("tagging"), nullptr);
   EXPECT_DOUBLE_EQ(profile.FindStage("tagging")->cpu_ms, 800);
   EXPECT_EQ(profile.FindStage("absent"), nullptr);
+}
+
+TEST(BenchProfileTest, FindStageInASingleStageProfile) {
+  BenchProfile profile;
+  EXPECT_EQ(profile.FindStage("mining"), nullptr);
+  StageAttribution stage;
+  stage.name = "mining";
+  profile.stages.push_back(stage);
+  EXPECT_NE(profile.FindStage("mining"), nullptr);
+  EXPECT_EQ(profile.FindStage("validation"), nullptr);
 }
 
 TEST(CompareBenchProfileTest, PassesWithinRatioAndSlack) {
