@@ -13,11 +13,18 @@
 //  - aligned variants are separate signatures and must all be replaced
 //    once any of them is.
 //
-// The counting path is a relaxed flag test plus relaxed fetch_adds —
-// malloc itself dwarfs it. No alicoco headers beyond heap_stats.h: this
-// TU runs before main and inside every allocation, including ones made
-// by static initializers of other TUs.
+// The counting path is a relaxed flag test, then relaxed fetch_adds on
+// the calling thread's counter slot — malloc itself dwarfs it. Slots are
+// handed out round-robin on a thread's first tracked allocation and
+// remembered in a trivial constinit thread_local int, so the hook never
+// allocates, never registers a TLS destructor, and reads no TLS at all
+// while tracking is off. (The hook is linked into executables only, so
+// that TLS read is a single thread-pointer-relative load.) Past kHeapCounterSlots threads, slots are
+// shared; the fetch_adds keep shared slots exact. No alicoco headers
+// beyond heap_stats.h: this TU runs before main and inside every
+// allocation, including ones made by static initializers of other TUs.
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -25,12 +32,11 @@
 
 namespace {
 
-using alicoco::obs::prof::internal::g_heap_alloc_bytes;
-using alicoco::obs::prof::internal::g_heap_allocs;
-using alicoco::obs::prof::internal::g_heap_free_bytes;
-using alicoco::obs::prof::internal::g_heap_frees;
 using alicoco::obs::prof::internal::g_heap_hook_linked;
+using alicoco::obs::prof::internal::g_heap_slots;
 using alicoco::obs::prof::internal::g_heap_tracking;
+using alicoco::obs::prof::internal::HeapCounterSlot;
+using alicoco::obs::prof::internal::kHeapCounterSlots;
 
 struct HookLinkedMarker {
   HookLinkedMarker() {
@@ -39,17 +45,31 @@ struct HookLinkedMarker {
 };
 HookLinkedMarker g_marker;
 
+constinit std::atomic<unsigned> g_next_slot{0};
+constinit thread_local int t_slot = -1;
+
+inline HeapCounterSlot& ThisThreadSlot() {
+  if (t_slot < 0) {
+    t_slot = static_cast<int>(
+        g_next_slot.fetch_add(1, std::memory_order_relaxed) %
+        kHeapCounterSlots);
+  }
+  return g_heap_slots[t_slot];
+}
+
 inline void CountAlloc(std::size_t size) {
   if (!g_heap_tracking.load(std::memory_order_relaxed)) return;
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_heap_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  HeapCounterSlot& slot = ThisThreadSlot();
+  slot.allocs.fetch_add(1, std::memory_order_relaxed);
+  slot.alloc_bytes.fetch_add(size, std::memory_order_relaxed);
 }
 
 inline void CountFree(std::size_t size) {
   if (!g_heap_tracking.load(std::memory_order_relaxed)) return;
-  g_heap_frees.fetch_add(1, std::memory_order_relaxed);
+  HeapCounterSlot& slot = ThisThreadSlot();
+  slot.frees.fetch_add(1, std::memory_order_relaxed);
   if (size != 0) {
-    g_heap_free_bytes.fetch_add(size, std::memory_order_relaxed);
+    slot.free_bytes.fetch_add(size, std::memory_order_relaxed);
   }
 }
 

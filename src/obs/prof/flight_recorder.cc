@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <thread>
 
 #include "common/check.h"
 #include "common/lock_stats.h"
@@ -124,15 +125,7 @@ FlightRecorder::~FlightRecorder() {
 
 void FlightRecorder::Record(std::string_view kind, std::string_view detail) {
   const uint64_t pos = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[pos & mask_];
-
-  // Seqlock write side. Invalidate first so a concurrent
-  // Snapshot/DumpToFd never emits a half-overwritten line; the release
-  // fence orders the invalidation before the payload words (a reader
-  // that sees any new word also sees seq==0), and the release store of
-  // pos+1 publishes the completed line.
-  slot.seq.store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
+  const uint64_t lap = pos + 1;  // the slot's published seq value
 
   char kind_buf[16];
   char detail_buf[kLineBytes];
@@ -151,11 +144,39 @@ void FlightRecorder::Record(std::string_view kind, std::string_view detail) {
                 detail_buf);
   uint64_t words[kLineWords];
   std::memcpy(words, formatted, kLineBytes);
+
+  // Claim the slot. Two writers a whole ring apart map to the same slot;
+  // the newer lap always wins. A writer that finds a newer lap (written
+  // or mid-write) drops its event, which the ring would overwrite anyway;
+  // one that finds an older lap mid-write waits out that writer's word
+  // copy, so lines never mix and an older lap never publishes over a
+  // newer one. The acquire on success orders our words after the older
+  // writer's.
+  Slot& slot = slots_[pos & mask_];
+  uint64_t seen = slot.seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((seen & ~kWriting) >= lap) return;
+    if ((seen & kWriting) != 0) {
+      std::this_thread::yield();
+      seen = slot.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (slot.seq.compare_exchange_weak(seen, lap | kWriting,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      break;
+    }
+  }
+
+  // Seqlock write side. The claim invalidated the slot for readers (they
+  // accept only seq == pos+1); the release fence orders that before the
+  // payload words (a reader that sees any new word also sees the claim),
+  // and the release store of pos+1 publishes the completed line.
+  std::atomic_thread_fence(std::memory_order_release);
   for (size_t w = 0; w < kLineWords; ++w) {
     slot.line[w].store(words[w], std::memory_order_relaxed);
   }
-
-  slot.seq.store(pos + 1, std::memory_order_release);
+  slot.seq.store(lap, std::memory_order_release);
 }
 
 std::vector<std::string> FlightRecorder::Snapshot() const {

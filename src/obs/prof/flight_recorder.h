@@ -10,12 +10,16 @@
 // then nothing but open() + write() + fsync() over prebuilt bytes.
 //
 // Slot protocol (single-writer-per-slot variant of the sample ring):
-// head_.fetch_add hands each writer a unique slot; the writer invalidates
-// the slot's seq to 0, copies the line, then release-stores seq = pos+1.
-// A snapshot reader accepts a slot only when it reads the same valid seq
-// before and after copying the text, so torn writes are discarded rather
-// than emitted. The crash dump runs wait-free: it never loops on a slot,
-// it just skips ones mid-write.
+// head_.fetch_add hands each writer a position pos; the writer claims
+// slot pos % capacity by CAS-ing its seq to pos+1 | kWriting, copies the
+// line, then release-stores seq = pos+1. Writers a whole ring apart meet
+// at one slot; the newer lap wins: an older writer that finds a newer
+// lap there drops its (already stale) event, and a newer writer that
+// finds an older one mid-copy waits for that copy to finish, so an older
+// lap never publishes over a newer one. A snapshot reader accepts a slot
+// only when it reads the same valid seq before and after copying the
+// text, so torn writes are discarded rather than emitted. The crash dump
+// runs wait-free: it never loops on a slot, it just skips ones mid-write.
 //
 //   FlightRecorder recorder(1024);
 //   recorder.InstallCrashDump("crash_flight.jsonl");  // CHECK + signals
@@ -58,8 +62,9 @@ class FlightRecorder {
 
   /// Records one event of `kind` ("span", "log", "mark", ...) with a
   /// human-readable detail string. Formats the JSONL line here, in normal
-  /// context; thread-safe, lock-free, never blocks, never allocates
-  /// beyond the snprintf stack buffer.
+  /// context; thread-safe and never allocates beyond the snprintf stack
+  /// buffer. It waits only behind a writer a whole ring older still
+  /// copying into the same slot.
   void Record(std::string_view kind, std::string_view detail);
 
   /// Shorthand for free-form markers: Record("mark", detail).
@@ -101,8 +106,12 @@ class FlightRecorder {
   static_assert(kLineBytes % sizeof(uint64_t) == 0,
                 "line buffer must be word-copyable");
 
+  /// Set in a slot's seq while a writer copies its line in.
+  static constexpr uint64_t kWriting = uint64_t{1} << 63;
+
   struct Slot {
-    std::atomic<uint64_t> seq{0};  ///< 0 = empty/mid-write, else pos+1
+    /// 0 = empty, pos+1 = published, pos+1 | kWriting = mid-write.
+    std::atomic<uint64_t> seq{0};
     /// NUL-terminated JSONL (no newline), 8 bytes per word.
     std::atomic<uint64_t> line[kLineWords];
   };

@@ -10,21 +10,19 @@
 namespace alicoco::obs::prof {
 
 namespace internal {
-constinit std::atomic<uint64_t> g_heap_allocs{0};
-constinit std::atomic<uint64_t> g_heap_frees{0};
-constinit std::atomic<uint64_t> g_heap_alloc_bytes{0};
-constinit std::atomic<uint64_t> g_heap_free_bytes{0};
+constinit HeapCounterSlot g_heap_slots[kHeapCounterSlots];
 constinit std::atomic<bool> g_heap_tracking{false};
 constinit std::atomic<bool> g_heap_hook_linked{false};
 }  // namespace internal
 
 HeapCounters HeapCountersNow() {
   HeapCounters out;
-  out.allocs = internal::g_heap_allocs.load(std::memory_order_relaxed);
-  out.frees = internal::g_heap_frees.load(std::memory_order_relaxed);
-  out.alloc_bytes =
-      internal::g_heap_alloc_bytes.load(std::memory_order_relaxed);
-  out.free_bytes = internal::g_heap_free_bytes.load(std::memory_order_relaxed);
+  for (const internal::HeapCounterSlot& slot : internal::g_heap_slots) {
+    out.allocs += slot.allocs.load(std::memory_order_relaxed);
+    out.frees += slot.frees.load(std::memory_order_relaxed);
+    out.alloc_bytes += slot.alloc_bytes.load(std::memory_order_relaxed);
+    out.free_bytes += slot.free_bytes.load(std::memory_order_relaxed);
+  }
   return out;
 }
 

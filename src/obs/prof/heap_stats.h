@@ -5,11 +5,17 @@
 // (bench/obs_report, the obs tests) — production tools pay nothing, not
 // even the branch. Within a hooked binary the counters start disabled;
 // SetHeapTrackingEnabled(true) flips one relaxed atomic that every
-// allocation checks. The counters are cumulative and monotonic (frees
-// are counted separately, never subtracted), so per-stage attribution is
-// a simple before/after delta: the pipeline runs its stages sequentially
-// on the main thread, and worker allocations inside a stage land in that
-// stage's window, which is exactly the attribution we want.
+// allocation checks. The counts live in a fixed array of cache-line-sized
+// slots: a thread claims a slot on its first tracked allocation and bumps
+// only that slot, so pool threads never share a counter line until there
+// are more threads than slots (then two threads share one and merely
+// contend). HeapCountersNow() sums the slots on read. The counters are
+// cumulative and monotonic (frees are counted separately, never
+// subtracted, and an exited thread's counts stay in its slot), so
+// per-stage attribution is a simple before/after delta: the pipeline
+// runs its stages sequentially on the main thread, and worker
+// allocations inside a stage land in that stage's window, which is
+// exactly the attribution we want.
 //
 //   SetHeapTrackingEnabled(true);
 //   HeapCounters before = HeapCountersNow();
@@ -32,12 +38,18 @@
 namespace alicoco::obs::prof {
 
 namespace internal {
+// One thread's (or, past kHeapCounterSlots threads, a few threads')
+// counters, alone on its cache line.
+struct alignas(64) HeapCounterSlot {
+  std::atomic<uint64_t> allocs{0};
+  std::atomic<uint64_t> frees{0};
+  std::atomic<uint64_t> alloc_bytes{0};
+  std::atomic<uint64_t> free_bytes{0};
+};
+inline constexpr int kHeapCounterSlots = 64;
 // Bumped by alloc_hook.cc when tracking is enabled. constinit so the
 // hook is safe during static initialization of other TUs.
-extern std::atomic<uint64_t> g_heap_allocs;
-extern std::atomic<uint64_t> g_heap_frees;
-extern std::atomic<uint64_t> g_heap_alloc_bytes;
-extern std::atomic<uint64_t> g_heap_free_bytes;
+extern HeapCounterSlot g_heap_slots[kHeapCounterSlots];
 extern std::atomic<bool> g_heap_tracking;
 // Set once by the hook TU's initializer; lets callers distinguish "no
 // allocations" from "hook not linked in".
@@ -51,8 +63,8 @@ struct HeapCounters {
   uint64_t free_bytes = 0;   ///< bytes from sized deletes only
 };
 
-/// Snapshot of the cumulative counters. All zeros when the hook is not
-/// linked or tracking was never enabled.
+/// Snapshot of the cumulative counters, summed over every slot. All
+/// zeros when the hook is not linked or tracking was never enabled.
 HeapCounters HeapCountersNow();
 
 /// True when alloc_hook.cc is linked into this binary.

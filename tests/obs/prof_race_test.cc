@@ -12,6 +12,7 @@
 #include "common/mutex.h"
 #include "obs/metrics.h"
 #include "obs/prof/flight_recorder.h"
+#include "obs/prof/heap_stats.h"
 #include "obs/prof/lock_metrics.h"
 #include "obs/prof/sample_ring.h"
 
@@ -140,6 +141,95 @@ TEST(ProfRaceTest, FlightRecorderConcurrentRecordAndSnapshot) {
             static_cast<uint64_t>(kWriters) * kPerWriter);
   std::vector<std::string> final_lines = recorder.Snapshot();
   EXPECT_EQ(final_lines.size(), 128u);
+}
+
+// The heap counters are per-thread slots summed on read: every thread's
+// allocations must show up in the sum exactly, including threads that
+// have already exited, threads that share a slot while both allocate,
+// and threads that reuse the slot of an exited one.
+TEST(ProfRaceTest, HeapCountersSumEveryThreadsAllocations) {
+  ASSERT_TRUE(HeapHookLinked());
+  ASSERT_FALSE(HeapTrackingEnabled());
+
+  // What one probe counts (a sized or an unsized delete[] is the
+  // compiler's choice, so free bytes are measured, not assumed).
+  constexpr size_t kBytes = 64;
+  HeapCounters probe_before;
+  HeapCounters probe_after;
+  {
+    ScopedHeapTracking tracking;
+    probe_before = HeapCountersNow();
+    HeapProbeAlloc(kBytes);
+    probe_after = HeapCountersNow();
+  }
+  ASSERT_EQ(probe_after.allocs - probe_before.allocs, 1u);
+  ASSERT_EQ(probe_after.frees - probe_before.frees, 1u);
+  ASSERT_EQ(probe_after.alloc_bytes - probe_before.alloc_bytes, kBytes);
+  const uint64_t probe_free_bytes =
+      probe_after.free_bytes - probe_before.free_bytes;
+
+  // Slots go out in claim order, and the threads of a wave claim in
+  // turn, so with kHeapCounterSlots + kPairs threads the first kPairs
+  // and the last kPairs share slots pairwise. Those 2 * kPairs threads
+  // then allocate in bulk at the same time; the rest only claim. Each
+  // wave reuses slots of the previous wave's exited threads.
+  constexpr int kPairs = 2;
+  constexpr int kThreads = internal::kHeapCounterSlots + kPairs;
+  constexpr int kWaves = 3;
+  constexpr int kPerThread = 20000;
+  for (int wave = 0; wave < kWaves; ++wave) {
+    // The threads start (std::thread allocates its state) and finish
+    // (it frees that state) with tracking off, so the window between
+    // the two snapshots holds only the probes. Waiting does not
+    // allocate.
+    std::atomic<bool> go{false};
+    std::atomic<bool> leave{false};
+    std::atomic<int> turn{0};
+    std::atomic<int> done{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        go.wait(false, std::memory_order_acquire);
+        while (turn.load(std::memory_order_acquire) != t) {
+          std::this_thread::yield();
+        }
+        HeapProbeAlloc(kBytes);  // claims this thread's slot
+        turn.store(t + 1, std::memory_order_release);
+        if (t < kPairs || t >= internal::kHeapCounterSlots) {
+          while (turn.load(std::memory_order_acquire) < kThreads) {
+            std::this_thread::yield();
+          }
+          for (int i = 0; i < kPerThread; ++i) HeapProbeAlloc(kBytes);
+        }
+        done.fetch_add(1, std::memory_order_release);
+        leave.wait(false, std::memory_order_acquire);
+      });
+    }
+    const HeapCounters before = HeapCountersNow();
+    SetHeapTrackingEnabled(true);
+    go.store(true, std::memory_order_release);
+    go.notify_all();
+    while (done.load(std::memory_order_acquire) < kThreads) {
+      std::this_thread::yield();
+    }
+    SetHeapTrackingEnabled(false);
+    const HeapCounters after = HeapCountersNow();
+    leave.store(true, std::memory_order_release);
+    leave.notify_all();
+    for (auto& t : threads) t.join();
+
+    const uint64_t probes = kThreads + uint64_t{2 * kPairs} * kPerThread;
+    EXPECT_EQ(after.allocs - before.allocs, probes) << "wave " << wave;
+    EXPECT_EQ(after.frees - before.frees, probes) << "wave " << wave;
+    EXPECT_EQ(after.alloc_bytes - before.alloc_bytes, probes * kBytes)
+        << "wave " << wave;
+    EXPECT_EQ(after.free_bytes - before.free_bytes, probes * probe_free_bytes)
+        << "wave " << wave;
+  }
+  // The exited threads' counts stay in their slots.
+  const HeapCounters end = HeapCountersNow();
+  EXPECT_EQ(end.allocs - probe_after.allocs,
+            kWaves * (kThreads + uint64_t{2 * kPairs} * kPerThread));
 }
 
 }  // namespace

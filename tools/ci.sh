@@ -112,10 +112,11 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${JOBS}"
 # The threaded surface: the thread pool (incl. the race stress suite), the
 # observability registry/tracer stress suite, the profiling-tier stress
-# suite (sample ring, instrumented mutex, flight recorder), and the
-# trainers that fan out over the pool. Running the full suite under TSan
-# works too but takes far longer for no extra thread coverage.
+# suite (sample ring, instrumented mutex, flight recorder), the heap
+# counters' per-thread slots, and the trainers that fan out over the
+# pool. Running the full suite under TSan works too but takes far longer
+# for no extra thread coverage.
 TSAN_OPTIONS="halt_on_error=1" \
-  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|LockStats|LockContentionMetrics|Training|Skipgram|Classifier|Matching|Tagger|Projection'
+  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|HeapStats|LockStats|LockContentionMetrics|Training|Skipgram|Classifier|Matching|Tagger|Projection'
 
 step "all green"
