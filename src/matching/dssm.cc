@@ -1,5 +1,7 @@
 #include "matching/dssm.h"
 
+#include "nn/kernels.h"
+
 namespace alicoco::matching {
 
 void DssmMatcher::BuildModel() {
@@ -51,6 +53,35 @@ nn::Graph::Var DssmMatcher::Logit(nn::Graph* g,
   // towers keep magnitudes stable, so a plain dot with learned scale works.
   nn::Graph::Var dot = g->MatMulTransB(cv, iv);  // 1x1
   return g->Mul(dot, g->Use(scale_));
+}
+
+float DssmMatcher::ForwardLogit(const std::vector<int>& concept_ids,
+                                const std::vector<int>& item_ids) const {
+  struct Buffers {
+    std::vector<float> words, mean, tower[2];
+    nn::ForwardScratch nn;
+  };
+  thread_local Buffers buf;
+  const int d = config_.embed_dim;
+  const int h = concept_tower_->out_dim();
+  // One side of Logit: MeanRows over the embeddings, tower, Tanh.
+  auto encode = [&](const std::vector<int>& ids, const nn::Mlp& tower,
+                    std::vector<float>* out_buf) {
+    const int n = static_cast<int>(ids.size());
+    float* words = nn::SizeBuffer(&buf.words, ids.size() * d);
+    emb_->Forward(ids, words);
+    float* mean = nn::SizeBuffer(&buf.mean, d);
+    nn::MeanRows(n, d, d, words, mean);
+    float* out = nn::SizeBuffer(out_buf, h);
+    tower.Forward(1, mean, out, &buf.nn);
+    nn::TanhInPlace(h, out);
+    return out;
+  };
+  const float* cv = encode(concept_ids, *concept_tower_, &buf.tower[0]);
+  const float* iv = encode(item_ids, *item_tower_, &buf.tower[1]);
+  float dot = 0.0f;
+  nn::kernels::GemmTransBAccum(1, h, 1, cv, iv, &dot);
+  return dot * scale_->value.At(0, 0);
 }
 
 }  // namespace alicoco::matching

@@ -22,6 +22,8 @@ class DssmMatcher : public NeuralMatcherBase {
   nn::Graph::Var Logit(nn::Graph* g, const std::vector<int>& concept_ids,
                        const std::vector<int>& item_ids, bool train,
                        Rng* rng) const override;
+  float ForwardLogit(const std::vector<int>& concept_ids,
+                     const std::vector<int>& item_ids) const override;
   void CollectQuantPlan(nn::quant::QuantPlan* plan) const override;
   void AttachQuantizedWeights(const nn::quant::QuantizedStore& store)
       override;

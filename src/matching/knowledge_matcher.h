@@ -36,10 +36,21 @@ struct KnowledgeMatcherConfig {
 };
 
 /// External knowledge plumbing; pointers must outlive the matcher.
+///
+/// `gloss_lookup` and `concept_classes` must be pure for the matcher's
+/// lifetime: the same argument always gives the same result. Scoring
+/// caches each thread's last concept side (its gloss and class rows
+/// included) and reuses it for every item scored against that concept,
+/// so a lookup whose answer changes while the matcher lives would leave
+/// stale rows in the cache. Both lookups receive the concept's tokens as
+/// decoded from the matcher's vocabulary ids, so a word unseen in training
+/// arrives as "<unk>".
 struct KnowledgeResources {
   const text::PosTagger* pos_tagger = nullptr;  ///< required
   /// Required when use_knowledge: gloss vectors for concept words.
   const text::GlossEncoder* gloss_encoder = nullptr;
+  /// Gloss tokens of one concept word (may return {}); required when
+  /// use_knowledge.
   std::function<std::vector<std::string>(const std::string&)> gloss_lookup;
   /// Taxonomy class ids of the primitive concepts linked to a concept
   /// surface (may return {}); required when use_knowledge.
@@ -64,12 +75,26 @@ class KnowledgeMatcher : public NeuralMatcherBase {
   nn::Graph::Var Logit(nn::Graph* g, const std::vector<int>& concept_ids,
                        const std::vector<int>& item_ids, bool train,
                        Rng* rng) const override;
+  float ForwardLogit(const std::vector<int>& concept_ids,
+                     const std::vector<int>& item_ids) const override;
   void CollectQuantPlan(nn::quant::QuantPlan* plan) const override;
   void AttachQuantizedWeights(const nn::quant::QuantizedStore& store)
       override;
   void DetachQuantizedWeights() override;
 
  private:
+  /// Per-thread scratch of ForwardLogit, holding the concept cache.
+  struct ForwardBuffers;
+
+  /// POS-tag id of vocabulary id `id`.
+  int PosId(int id) const;
+  /// Tape-free encode_side of Logit: CNN over word + POS embeddings.
+  void EncodeSideForward(const std::vector<int>& ids, const nn::Conv1D& cnn,
+                         float* out, ForwardBuffers* buf) const;
+  /// Fills buf's concept cache for `concept_ids` at the current weights.
+  void EncodeConceptForward(const std::vector<int>& concept_ids,
+                            ForwardBuffers* buf) const;
+
   KnowledgeMatcherConfig kcfg_;
   KnowledgeResources res_;
 
@@ -84,7 +109,7 @@ class KnowledgeMatcher : public NeuralMatcherBase {
   std::unique_ptr<nn::Embedding> class_emb_;
   std::vector<nn::Parameter*> pyramid_;  // K bilinear maps d x d
   /// Quantized pyramid maps (stored transposed), parallel to pyramid_;
-  /// empty when scoring fp32.
+  /// empty when scoring fp32. Read by ForwardLogit only.
   std::vector<const nn::quant::QuantizedTensor*> pyramid_q_;
   std::unique_ptr<nn::Mlp> pyramid_mlp_;
   std::unique_ptr<nn::Mlp> head_;

@@ -23,6 +23,8 @@ class MatchPyramidMatcher : public NeuralMatcherBase {
   nn::Graph::Var Logit(nn::Graph* g, const std::vector<int>& concept_ids,
                        const std::vector<int>& item_ids, bool train,
                        Rng* rng) const override;
+  float ForwardLogit(const std::vector<int>& concept_ids,
+                     const std::vector<int>& item_ids) const override;
   void CollectQuantPlan(nn::quant::QuantPlan* plan) const override;
   void AttachQuantizedWeights(const nn::quant::QuantizedStore& store)
       override;
@@ -38,6 +40,11 @@ class MatchPyramidMatcher : public NeuralMatcherBase {
 /// Max-pools an arbitrary m x l matrix node to a fixed grid x grid vector
 /// (1 x grid*grid). Shared with the knowledge matcher's pyramid layers.
 nn::Graph::Var DynamicGridPool(nn::Graph* g, nn::Graph::Var matrix, int grid);
+
+/// Tape-free DynamicGridPool over a row-major rows x cols matrix: writes
+/// the same grid*grid values to `out`.
+void GridPoolForward(const float* matrix, int rows, int cols, int grid,
+                     float* out);
 
 }  // namespace alicoco::matching
 

@@ -1,5 +1,6 @@
 #include "matching/neural_base.h"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <utility>
@@ -46,9 +47,22 @@ std::unique_ptr<nn::Embedding> NeuralMatcherBase::MakeEmbedding(
 
 std::vector<int> NeuralMatcherBase::Encode(
     const std::vector<std::string>& tokens) const {
-  std::vector<int> ids = vocab_.Encode(tokens);
-  if (ids.empty()) ids.push_back(text::Vocabulary::kUnkId);
+  std::vector<int> ids;
+  EncodeInto(tokens, &ids);
   return ids;
+}
+
+void NeuralMatcherBase::EncodeInto(const std::vector<std::string>& tokens,
+                                   std::vector<int>* ids) const {
+  ids->clear();
+  for (const auto& t : tokens) ids->push_back(vocab_.Id(t));
+  if (ids->empty()) ids->push_back(text::Vocabulary::kUnkId);
+}
+
+void NeuralMatcherBase::BumpWeightsGeneration() {
+  static std::atomic<uint64_t> next_generation{1};
+  weights_generation_ =
+      next_generation.fetch_add(1, std::memory_order_relaxed);
 }
 
 void NeuralMatcherBase::EnableQuantizedInference(nn::quant::QuantMode mode) {
@@ -58,6 +72,7 @@ void NeuralMatcherBase::EnableQuantizedInference(nn::quant::QuantMode mode) {
     DetachQuantizedWeights();
     qstore_ = nn::quant::QuantizedStore();
     qmode_ = mode;
+    BumpWeightsGeneration();
     return;
   }
   // Detach first: re-enabling with a different mode must not leave layers
@@ -69,6 +84,7 @@ void NeuralMatcherBase::EnableQuantizedInference(nn::quant::QuantMode mode) {
   qstore_ = nn::quant::QuantizeParams(store_, plan, mode);
   AttachQuantizedWeights(qstore_);
   qmode_ = mode;
+  BumpWeightsGeneration();
   ALICOCO_LOG(Info) << name() << ": quantized inference enabled, mode="
                     << nn::quant::QuantModeName(mode) << ", "
                     << qstore_.quantized().size() << " tensors, "
@@ -139,6 +155,7 @@ Status NeuralMatcherBase::LoadQuantizedInference(const std::string& path) {
   qstore_ = std::move(loaded);
   AttachQuantizedWeights(qstore_);  // CHECKs quantized shapes
   qmode_ = qstore_.mode();
+  BumpWeightsGeneration();
   return Status::OK();
 }
 
@@ -182,6 +199,7 @@ void NeuralMatcherBase::Train(const MatchingDataset& dataset) {
     }
   }
   trained_ = true;
+  BumpWeightsGeneration();
 }
 
 double NeuralMatcherBase::Score(const std::vector<std::string>& concept_tokens,
@@ -191,10 +209,10 @@ double NeuralMatcherBase::Score(const std::vector<std::string>& concept_tokens,
   ALICOCO_CHECK(trained_) << name() << " scored before Train";
   std::chrono::steady_clock::time_point start;
   if (score_latency_us_ != nullptr) start = std::chrono::steady_clock::now();
-  nn::Graph g;
-  nn::Graph::Var logit =
-      Logit(&g, Encode(concept_tokens), Encode(item_tokens), false, nullptr);
-  float x = g.Value(logit).At(0, 0);
+  thread_local std::vector<int> concept_ids, item_ids;
+  EncodeInto(concept_tokens, &concept_ids);
+  EncodeInto(item_tokens, &item_ids);
+  float x = ForwardLogit(concept_ids, item_ids);
   double score = 1.0 / (1.0 + std::exp(-static_cast<double>(x)));
   if (score_latency_us_ != nullptr) {
     score_latency_us_->Observe(

@@ -1,6 +1,14 @@
 // Shared machinery for the trainable matchers: vocabulary construction over
-// the dataset, pretrained-initialized embedding tables, and the BCE
-// training loop.
+// the dataset, pretrained-initialized embedding tables, the BCE training
+// loop, and the two ways a subclass computes its pair logit:
+//
+//   Logit         builds the model on an autodiff Graph; training only.
+//   ForwardLogit  the same arithmetic over per-thread scratch buffers with
+//                 no tape, at fp32 or through the attached int8 / fp16
+//                 weights; every Score goes through it. At fp32 it makes
+//                 the same nn::kernels calls in the same order as Logit,
+//                 so scores are bit-identical to sigmoid(Logit) on a given
+//                 kernel tier.
 
 #ifndef ALICOCO_MATCHING_NEURAL_BASE_H_
 #define ALICOCO_MATCHING_NEURAL_BASE_H_
@@ -55,6 +63,7 @@ class NeuralMatcherBase : public Matcher {
   // After Train (or LoadQuantizedInference), Score can run through int8 or
   // fp16 weights: weight matrices and embedding tables go through the
   // quantized kernels, biases and other small parameters stay fp32.
+  // Training always uses the fp32 parameters.
   // Accuracy tolerances vs fp32 are documented in DESIGN.md §5 and
   // enforced by tests/matching/quantized_matching_test.cc.
 
@@ -89,11 +98,23 @@ class NeuralMatcherBase : public Matcher {
   /// Builds the model's layers once the vocabulary is known.
   virtual void BuildModel() = 0;
 
-  /// Pair logit (1x1). `train` enables dropout in subclasses.
+  /// Pair logit (1x1) on the tape, for training. `train` enables dropout
+  /// in subclasses. Always reads the fp32 parameters.
   virtual nn::Graph::Var Logit(nn::Graph* g,
                                const std::vector<int>& concept_ids,
                                const std::vector<int>& item_ids, bool train,
                                Rng* rng) const = 0;
+
+  /// Tape-free inference logit: Logit(train=false) over raw buffers,
+  /// through the quantized weights when attached. Thread-safe (const,
+  /// per-thread scratch). `concept_ids` / `item_ids` are non-empty.
+  virtual float ForwardLogit(const std::vector<int>& concept_ids,
+                             const std::vector<int>& item_ids) const = 0;
+
+  /// Process-unique id of the current weights: a fresh value after Train,
+  /// EnableQuantizedInference and LoadQuantizedInference, never reused by
+  /// any matcher. Keys per-thread caches of weight-derived values.
+  uint64_t weights_generation() const { return weights_generation_; }
 
   /// Hook: subclasses may capture extra per-example context (the knowledge
   /// matcher resolves concept-linked primitives from tokens).
@@ -104,6 +125,9 @@ class NeuralMatcherBase : public Matcher {
   std::unique_ptr<nn::Embedding> MakeEmbedding(const std::string& name);
 
   std::vector<int> Encode(const std::vector<std::string>& tokens) const;
+  /// Encode into `ids` (reusing its capacity).
+  void EncodeInto(const std::vector<std::string>& tokens,
+                  std::vector<int>* ids) const;
 
   NeuralMatcherConfig config_;
   const text::SkipgramModel* pretrained_;
@@ -115,6 +139,12 @@ class NeuralMatcherBase : public Matcher {
   obs::Histogram* score_latency_us_ = nullptr;
   nn::quant::QuantizedStore qstore_;  ///< layers hold pointers into this
   nn::quant::QuantMode qmode_ = nn::quant::QuantMode::kNone;
+
+ private:
+  /// Gives the weights a fresh process-unique generation.
+  void BumpWeightsGeneration();
+
+  uint64_t weights_generation_ = 0;  ///< 0 until trained
 };
 
 }  // namespace alicoco::matching

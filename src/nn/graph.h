@@ -9,6 +9,12 @@
 // elementwise math for MLPs, slicing/concat for LSTM gates, windowed concat
 // for 1-D CNNs, softmax for attention, pooling, embedding gather, the
 // additive two-way attention of Eq. 11, and stable sigmoid cross-entropy.
+//
+// Every op here is differentiable and fp32. Inference that needs no
+// gradients (matcher scoring, at fp32, int8 or fp16) does not build a
+// Graph: it runs the layers' tape-free Forward over raw buffers
+// (nn/layers.h), which repeats these ops' kernel calls without the node
+// bookkeeping.
 
 #ifndef ALICOCO_NN_GRAPH_H_
 #define ALICOCO_NN_GRAPH_H_
@@ -22,10 +28,6 @@
 #include "nn/tensor.h"
 
 namespace alicoco::nn {
-
-namespace quant {
-class QuantizedTensor;
-}  // namespace quant
 
 /// A trainable tensor with an accumulated gradient.
 struct Parameter {
@@ -157,24 +159,6 @@ class Graph {
   Var LstmStep(Var x, Var h_prev, Var c_prev, Parameter* wx, Parameter* wh,
                Parameter* b);
 
-  // ---- quantized inference ops (forward-only) ----
-  // Counterparts of the fused affine family / MatMul / EmbeddingLookup
-  // that read weights from a quantized tensor (nn/quant.h) instead of a
-  // Parameter. `wt` holds the weight TRANSPOSED (out x in, contraction dim
-  // contiguous) as produced by QuantizedTensor::QuantizeTransposed. These
-  // nodes have no gradient: calling Backward on a graph containing one
-  // CHECK-fails (quantized weights are frozen inference artifacts). The
-  // caller must keep `wt`/`table` alive for the graph's lifetime.
-  /// act(x * W^T + b): x (R x in), wt (out x in), b (1 x out).
-  Var AffineQuant(Var x, const quant::QuantizedTensor& wt, Parameter* b);
-  Var AffineQuantTanh(Var x, const quant::QuantizedTensor& wt, Parameter* b);
-  Var AffineQuantRelu(Var x, const quant::QuantizedTensor& wt, Parameter* b);
-  /// a (m x in) * W for W stored transposed in `wt` (out x in) -> m x out.
-  Var MatMulQuant(Var a, const quant::QuantizedTensor& wt);
-  /// Gathers (dequantizes) rows of a quantized embedding table by id.
-  Var EmbeddingLookupQuant(const quant::QuantizedTensor& table,
-                           const std::vector<int>& ids);
-
   // ---- attention / losses ----
   /// att[i][j] = v^T tanh(a_i + b_j)  (Eq. 11). a: m x d, b: l x d,
   /// v: d x 1 -> m x l.
@@ -220,9 +204,6 @@ class Graph {
   /// Shared implementation of the fused affine family; `act` selects the
   /// fused activation (0 = none, 1 = tanh, 2 = relu).
   Var AffineAct(Var x, Parameter* w, Parameter* b, int act);
-  /// Quantized counterpart of AffineAct (forward-only).
-  Var AffineQuantAct(Var x, const quant::QuantizedTensor& wt, Parameter* b,
-                     int act);
 
   GradientSink* sink_ = nullptr;
   std::vector<std::unique_ptr<Node>> nodes_;

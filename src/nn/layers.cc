@@ -1,8 +1,52 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "nn/kernels.h"
+
 namespace alicoco::nn {
+
+void SumRows(int rows, int cols, int stride, const float* x, float* out) {
+  std::fill(out, out + cols, 0.0f);
+  for (int r = 0; r < rows; ++r) {
+    const float* row = x + static_cast<size_t>(r) * stride;
+    for (int j = 0; j < cols; ++j) out[j] += row[j];
+  }
+}
+
+void MeanRows(int rows, int cols, int stride, const float* x, float* out) {
+  SumRows(rows, cols, stride, x, out);
+  const float inv = 1.0f / static_cast<float>(rows);
+  for (int j = 0; j < cols; ++j) out[j] *= inv;
+}
+
+void MaxRows(int rows, int cols, int stride, const float* x, float* out) {
+  ALICOCO_DCHECK(rows > 0);
+  for (int j = 0; j < cols; ++j) {
+    float best = x[j];
+    for (int r = 1; r < rows; ++r) {
+      const float v = x[static_cast<size_t>(r) * stride + j];
+      if (v > best) best = v;
+    }
+    out[j] = best;
+  }
+}
+
+void SoftmaxRow(int n, float* x) {
+  float mx = x[0];
+  for (int j = 1; j < n; ++j) mx = std::max(mx, x[j]);
+  float total = 0.0f;
+  for (int j = 0; j < n; ++j) {
+    x[j] = std::exp(x[j] - mx);
+    total += x[j];
+  }
+  for (int j = 0; j < n; ++j) x[j] /= total;
+}
+
+void TanhInPlace(size_t n, float* x) {
+  for (size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+}
 
 Linear::Linear(ParameterStore* store, const std::string& name, int in_dim,
                int out_dim, Rng* rng)
@@ -14,18 +58,38 @@ Linear::Linear(ParameterStore* store, const std::string& name, int in_dim,
 }
 
 Graph::Var Linear::Apply(Graph* g, Graph::Var x) const {
-  if (qw_ != nullptr) return g->AffineQuant(x, *qw_, b_);
   return g->Affine(x, w_, b_);
 }
 
 Graph::Var Linear::ApplyTanh(Graph* g, Graph::Var x) const {
-  if (qw_ != nullptr) return g->AffineQuantTanh(x, *qw_, b_);
   return g->AffineTanh(x, w_, b_);
 }
 
 Graph::Var Linear::ApplyRelu(Graph* g, Graph::Var x) const {
-  if (qw_ != nullptr) return g->AffineQuantRelu(x, *qw_, b_);
   return g->AffineRelu(x, w_, b_);
+}
+
+void Linear::Forward(int rows, const float* x, float* y, Activation act,
+                     ForwardScratch* scratch) const {
+  // Zeroed output + accumulating GEMM + fused bias, as in Graph::AffineAct.
+  std::fill(y, y + static_cast<size_t>(rows) * out_dim_, 0.0f);
+  if (qw_ != nullptr) {
+    quant::GemmTransW(rows, x, *qw_, y, &scratch->q8);
+  } else {
+    kernels::GemmAccum(rows, in_dim_, out_dim_, x, w_->value.data(), y);
+  }
+  const float* bias = b_->value.data();
+  switch (act) {
+    case Activation::kTanh:
+      kernels::AddBiasTanh(rows, out_dim_, y, bias, y);
+      break;
+    case Activation::kRelu:
+      kernels::AddBiasRelu(rows, out_dim_, y, bias, y);
+      break;
+    case Activation::kNone:
+      kernels::AddBias(rows, out_dim_, y, bias, y);
+      break;
+  }
 }
 
 void Linear::AppendQuantPlan(quant::QuantPlan* plan) const {
@@ -52,8 +116,22 @@ Embedding::Embedding(ParameterStore* store, const std::string& name,
 }
 
 Graph::Var Embedding::Lookup(Graph* g, const std::vector<int>& ids) const {
-  if (qt_ != nullptr) return g->EmbeddingLookupQuant(*qt_, ids);
   return g->EmbeddingLookup(table_, ids);
+}
+
+void Embedding::CopyRow(int id, float* out) const {
+  ALICOCO_CHECK(id >= 0 && id < vocab_) << "embedding id out of range: "
+                                        << id;
+  if (qt_ != nullptr) {
+    qt_->DequantizeRow(id, out);
+    return;
+  }
+  const float* row = table_->value.Row(id);
+  std::copy(row, row + dim_, out);
+}
+
+void Embedding::Forward(const std::vector<int>& ids, float* out) const {
+  for (size_t i = 0; i < ids.size(); ++i) CopyRow(ids[i], out + i * dim_);
 }
 
 void Embedding::LoadPretrained(const std::vector<float>& table) {
@@ -87,6 +165,26 @@ Graph::Var Conv1D::Apply(Graph* g, Graph::Var x) const {
   return proj_.ApplyRelu(g, g->ConcatWindow(x, window_));
 }
 
+void Conv1D::Forward(int rows, const float* x, float* y,
+                     ForwardScratch* scratch) const {
+  // Graph::ConcatWindow over a raw buffer: zero-padded borders.
+  const int d = proj_.in_dim() / window_;
+  const int half = window_ / 2;
+  const size_t width = static_cast<size_t>(proj_.in_dim());
+  float* windows = SizeBuffer(&scratch->windows, rows * width);
+  std::fill(windows, windows + rows * width, 0.0f);
+  for (int i = 0; i < rows; ++i) {
+    for (int w = -half; w <= half; ++w) {
+      const int src = i + w;
+      if (src < 0 || src >= rows) continue;
+      std::copy(x + static_cast<size_t>(src) * d,
+                x + static_cast<size_t>(src + 1) * d,
+                windows + i * width + static_cast<size_t>(w + half) * d);
+    }
+  }
+  proj_.Forward(rows, windows, y, Activation::kRelu, scratch);
+}
+
 void Conv1D::AppendQuantPlan(quant::QuantPlan* plan) const {
   proj_.AppendQuantPlan(plan);
 }
@@ -113,24 +211,6 @@ Graph::Var SelfAttention::Apply(Graph* g, Graph::Var x) const {
   return residual_ ? g->Add(x, attended) : attended;
 }
 
-void SelfAttention::AppendQuantPlan(quant::QuantPlan* plan) const {
-  q_.AppendQuantPlan(plan);
-  k_.AppendQuantPlan(plan);
-  v_.AppendQuantPlan(plan);
-}
-
-void SelfAttention::AttachQuantized(const quant::QuantizedStore& store) {
-  q_.AttachQuantized(store);
-  k_.AttachQuantized(store);
-  v_.AttachQuantized(store);
-}
-
-void SelfAttention::DetachQuantized() {
-  q_.DetachQuantized();
-  k_.DetachQuantized();
-  v_.DetachQuantized();
-}
-
 Mlp::Mlp(ParameterStore* store, const std::string& name,
          const std::vector<int>& dims, Rng* rng) {
   ALICOCO_CHECK(dims.size() >= 2) << "Mlp needs at least {in, out}";
@@ -147,6 +227,22 @@ Graph::Var Mlp::Apply(Graph* g, Graph::Var x) const {
                                : layers_[i].Apply(g, h);
   }
   return h;
+}
+
+void Mlp::Forward(int rows, const float* x, float* y,
+                  ForwardScratch* scratch) const {
+  const float* h = x;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const Linear& layer = layers_[i];
+    if (i + 1 == layers_.size()) {
+      layer.Forward(rows, h, y, Activation::kNone, scratch);
+      break;
+    }
+    float* next = SizeBuffer(&scratch->hidden[i % 2],
+                             static_cast<size_t>(rows) * layer.out_dim());
+    layer.Forward(rows, h, next, Activation::kTanh, scratch);
+    h = next;
+  }
 }
 
 void Mlp::AppendQuantPlan(quant::QuantPlan* plan) const {

@@ -149,6 +149,24 @@ Tensor QuantizedTensor::Dequantize() const {
   return out;
 }
 
+void GemmTransW(int m, const float* x, const QuantizedTensor& wt, float* y,
+                ActivationScratch* scratch) {
+  const int k = wt.cols();
+  if (wt.mode() == QuantMode::kFp16) {
+    kernels::Fp16GemmTransBAccum(m, k, wt.rows(), x, wt.fp16_data(), y);
+    return;
+  }
+  ALICOCO_CHECK(wt.mode() == QuantMode::kInt8)
+      << "GemmTransW on fp32-mode tensor";
+  const int blocks = wt.blocks_per_row();
+  scratch->codes.resize(static_cast<size_t>(m) * blocks * kernels::kQ8Block);
+  scratch->scales.resize(static_cast<size_t>(m) * blocks);
+  QuantizeRowsQ8(x, m, k, scratch->codes.data(), scratch->scales.data());
+  kernels::Q8GemmDotAccum(m, k, wt.rows(), scratch->codes.data(),
+                          scratch->scales.data(), wt.q8_data(),
+                          wt.q8_scales(), y);
+}
+
 void GemmTransW(const Tensor& x, const QuantizedTensor& wt, Tensor* y) {
   ALICOCO_CHECK(x.cols() == wt.cols())
       << "GemmTransW contraction mismatch: x is " << x.rows() << "x"
@@ -156,21 +174,8 @@ void GemmTransW(const Tensor& x, const QuantizedTensor& wt, Tensor* y) {
   ALICOCO_CHECK(y->rows() == x.rows() && y->cols() == wt.rows())
       << "GemmTransW output shape: want " << x.rows() << "x" << wt.rows()
       << ", got " << y->rows() << "x" << y->cols();
-  if (wt.mode() == QuantMode::kFp16) {
-    kernels::Fp16GemmTransBAccum(x.rows(), x.cols(), wt.rows(), x.data(),
-                                 wt.fp16_data(), y->data());
-    return;
-  }
-  ALICOCO_CHECK(wt.mode() == QuantMode::kInt8)
-      << "GemmTransW on fp32-mode tensor";
-  const int blocks = wt.blocks_per_row();
-  std::vector<int8_t> xq(static_cast<size_t>(x.rows()) * blocks *
-                         kernels::kQ8Block);
-  std::vector<float> xscales(static_cast<size_t>(x.rows()) * blocks);
-  QuantizeRowsQ8(x.data(), x.rows(), x.cols(), xq.data(), xscales.data());
-  kernels::Q8GemmDotAccum(x.rows(), x.cols(), wt.rows(), xq.data(),
-                          xscales.data(), wt.q8_data(), wt.q8_scales(),
-                          y->data());
+  ActivationScratch scratch;
+  GemmTransW(x.rows(), x.data(), wt, y->data(), &scratch);
 }
 
 const QuantizedTensor* QuantizedStore::FindQuantized(

@@ -112,11 +112,25 @@ class QuantizedTensor {
   std::vector<uint16_t> fp16_;  ///< kFp16: rows * cols codes
 };
 
-/// y (x.rows x wt.rows) += x * W^T where `wt` holds W transposed
-/// (wt.rows = output dim, wt.cols = contraction dim = x.cols). For kInt8
-/// the activations are quantized on the fly per row (same Q8 block format)
-/// and the int8 dot kernel runs; for kFp16 the fp16-load fp32-accumulate
-/// kernel runs. `y` must be pre-sized; accumulates like the GEMM kernels.
+/// Reusable buffers for the int8 activation codes GemmTransW quantizes on
+/// the fly. Grown on demand and never shrunk, so a warm scratch makes the
+/// int8 product allocation-free.
+struct ActivationScratch {
+  std::vector<int8_t> codes;
+  std::vector<float> scales;
+};
+
+/// y (m x wt.rows, row-major) += x (m x wt.cols, row-major) * W^T where
+/// `wt` holds W transposed (wt.rows = output dim, wt.cols = contraction
+/// dim). For kInt8 the activations are quantized per row into `scratch`
+/// (same Q8 block format) and the int8 dot kernel runs; for kFp16 the
+/// fp16-load fp32-accumulate kernel runs and `scratch` is unused.
+/// Accumulates like the GEMM kernels.
+void GemmTransW(int m, const float* x, const QuantizedTensor& wt, float* y,
+                ActivationScratch* scratch);
+
+/// Tensor form of the above with a call-local scratch: y (x.rows x
+/// wt.rows) += x * W^T; `y` must be pre-sized.
 void GemmTransW(const Tensor& x, const QuantizedTensor& wt, Tensor* y);
 
 /// One parameter a model wants quantized. `transpose` marks weights

@@ -1,9 +1,21 @@
 // Matching module tests (Section 7.6): dataset construction, every matcher
 // trains and beats chance, and the key paper claims hold on the synthetic
 // world — lexical matching fails on semantic drift, knowledge bridges it.
+// The tape-free Score path is checked against the training tape bit for bit
+// (tools/ci.sh runs this suite on both kernel tiers), and the knowledge
+// matcher's per-thread concept cache against weight changes, concurrent
+// scoring and allocation counts (this binary links the heap hook).
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/thread_pool.h"
 #include "datagen/resources.h"
 #include "datagen/world.h"
 #include "matching/bm25_matcher.h"
@@ -11,6 +23,7 @@
 #include "matching/knowledge_matcher.h"
 #include "matching/match_pyramid.h"
 #include "matching/re2_matcher.h"
+#include "obs/prof/heap_stats.h"
 #include "text/tokenizer.h"
 
 namespace alicoco::matching {
@@ -184,6 +197,178 @@ TEST(MatchingTest, KnowledgeBridgesSemanticDrift) {
   double without_auc = eval::Auc(without_scores, labels);
   EXPECT_GT(with_auc, 0.6);
   EXPECT_GT(with_auc, without_auc - 0.05);
+}
+
+/// A matcher that can also score through its training tape. Test-only:
+/// reaches the protected Logit, which production scoring never calls.
+template <typename Base>
+class TapeScored : public Base {
+ public:
+  using Base::Base;
+
+  /// sigmoid(Logit(train=false)), computed exactly as Score does.
+  double TapeScore(const MatchingExample& ex) const {
+    nn::Graph g;
+    nn::Graph::Var logit =
+        this->Logit(&g, this->Encode(ex.concept_tokens),
+                    this->Encode(ex.item_tokens), false, nullptr);
+    const float x = g.Value(logit).At(0, 0);
+    return 1.0 / (1.0 + std::exp(-static_cast<double>(x)));
+  }
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+double ScoreOf(const Matcher& model, const MatchingExample& ex) {
+  return model.Score(ex.concept_tokens, ex.item_tokens, ex.item_id);
+}
+
+/// Every test pair, with concepts visited in A, B, A order: the knowledge
+/// matcher's concept cache misses on B and on the return to A, and hits
+/// when consecutive pairs share a concept.
+template <typename M>
+void ExpectForwardMatchesTape(const M& model, const MatchingDataset& ds) {
+  const size_t n = ds.test.size();
+  for (size_t k = 0; k < n; ++k) {
+    const MatchingExample& a = ds.test[k];
+    const MatchingExample& b = ds.test[(k + n / 2) % n];
+    for (const MatchingExample* ex : {&a, &b, &a}) {
+      ASSERT_EQ(Bits(ScoreOf(model, *ex)), Bits(model.TapeScore(*ex)))
+          << model.name() << " test pair " << k;
+    }
+  }
+}
+
+TEST(MatchingTest, ForwardPathMatchesTapeBitForBit) {
+  Fixture& f = SharedFixture();
+  NeuralMatcherConfig cfg;
+  cfg.epochs = 1;
+  const text::SkipgramModel* emb = &f.resources.embeddings();
+  const text::Vocabulary* vocab = &f.resources.vocab();
+
+  TapeScored<DssmMatcher> dssm(cfg, emb, vocab);
+  dssm.Train(f.dataset);
+  ExpectForwardMatchesTape(dssm, f.dataset);
+
+  TapeScored<MatchPyramidMatcher> pyramid(cfg, emb, vocab);
+  pyramid.Train(f.dataset);
+  ExpectForwardMatchesTape(pyramid, f.dataset);
+
+  TapeScored<Re2Matcher> re2(cfg, emb, vocab);
+  re2.Train(f.dataset);
+  ExpectForwardMatchesTape(re2, f.dataset);
+
+  KnowledgeMatcherConfig kcfg;
+  kcfg.base.epochs = 1;
+  TapeScored<KnowledgeMatcher> knowledge(kcfg, f.KnowRes(), emb, vocab);
+  knowledge.Train(f.dataset);
+  ExpectForwardMatchesTape(knowledge, f.dataset);
+}
+
+TEST(MatchingTest, ConceptCacheFollowsWeightChanges) {
+  Fixture& f = SharedFixture();
+  KnowledgeMatcherConfig cfg;
+  cfg.base.epochs = 1;
+  KnowledgeMatcher model(cfg, f.KnowRes(), &f.resources.embeddings(),
+                         &f.resources.vocab());
+  model.Train(f.dataset);
+  const MatchingExample& ex = f.dataset.test.front();
+  // A new thread starts with an empty concept cache.
+  auto cold = [&] {
+    double score = 0;
+    std::thread scorer([&] { score = ScoreOf(model, ex); });
+    scorer.join();
+    return score;
+  };
+
+  const double fp32 = ScoreOf(model, ex);  // caches the fp32 concept side
+  model.EnableQuantizedInference(nn::quant::QuantMode::kInt8);
+  const double int8 = ScoreOf(model, ex);  // same concept, new weights
+  EXPECT_EQ(Bits(int8), Bits(cold()));
+  EXPECT_NE(Bits(int8), Bits(fp32));  // the weights did change
+
+  model.EnableQuantizedInference(nn::quant::QuantMode::kNone);
+  EXPECT_EQ(Bits(ScoreOf(model, ex)), Bits(fp32));
+  EXPECT_EQ(Bits(cold()), Bits(fp32));
+
+  model.EnableQuantizedInference(nn::quant::QuantMode::kInt8);
+  const std::string path =
+      std::string(::testing::TempDir()) + "/concept_cache_int8.bin";
+  ASSERT_TRUE(model.SaveQuantized(path).ok());
+  model.EnableQuantizedInference(nn::quant::QuantMode::kNone);
+  EXPECT_EQ(Bits(ScoreOf(model, ex)), Bits(fp32));
+  ASSERT_TRUE(model.LoadQuantizedInference(path).ok());
+  EXPECT_EQ(Bits(ScoreOf(model, ex)), Bits(int8));
+  EXPECT_EQ(Bits(cold()), Bits(int8));
+}
+
+TEST(MatchingTest, WarmScoreAllocatesAlmostNothing) {
+  ASSERT_TRUE(obs::prof::HeapHookLinked());
+  Fixture& f = SharedFixture();
+  KnowledgeMatcherConfig cfg;
+  cfg.base.epochs = 1;
+  KnowledgeMatcher model(cfg, f.KnowRes(), &f.resources.embeddings(),
+                         &f.resources.vocab());
+  model.Train(f.dataset);
+  ASSERT_FALSE(f.dataset.rank_queries.empty());
+  const RankQuery& page = f.dataset.rank_queries.front();
+  const size_t pairs = page.item_tokens.size();
+  ASSERT_GT(pairs, 4u);
+  for (nn::quant::QuantMode mode :
+       {nn::quant::QuantMode::kNone, nn::quant::QuantMode::kInt8}) {
+    model.EnableQuantizedInference(mode);
+    auto score_page = [&] {
+      for (size_t i = 0; i < pairs; ++i) {
+        model.Score(page.concept_tokens, page.item_tokens[i],
+                    page.item_ids[i]);
+      }
+    };
+    score_page();  // grows the per-thread buffers, caches the concept
+    obs::prof::HeapCounters before, after;
+    {
+      obs::prof::ScopedHeapTracking tracking;
+      before = obs::prof::HeapCountersNow();
+      score_page();
+      after = obs::prof::HeapCountersNow();
+    }
+    // The tape made several hundred allocations per Score.
+    EXPECT_LT(after.allocs - before.allocs, pairs)
+        << nn::quant::QuantModeName(mode) << ": allocations over " << pairs
+        << " warm scores";
+  }
+}
+
+TEST(MatchingRaceTest, ConcurrentScoresMatchSequential) {
+  // Score keeps its scratch and concept cache per thread; pool threads
+  // scoring interleaved concepts must agree bit for bit with one thread.
+  Fixture& f = SharedFixture();
+  KnowledgeMatcherConfig cfg;
+  cfg.base.epochs = 1;
+  KnowledgeMatcher model(cfg, f.KnowRes(), &f.resources.embeddings(),
+                         &f.resources.vocab());
+  model.Train(f.dataset);
+  const size_t half = std::min<size_t>(f.dataset.test.size() / 2, 48);
+  std::vector<const MatchingExample*> pairs;
+  for (size_t k = 0; k < half; ++k) {
+    pairs.push_back(&f.dataset.test[k]);
+    pairs.push_back(&f.dataset.test[f.dataset.test.size() - 1 - k]);
+  }
+  ThreadPool pool(4);
+  for (nn::quant::QuantMode mode :
+       {nn::quant::QuantMode::kNone, nn::quant::QuantMode::kInt8}) {
+    model.EnableQuantizedInference(mode);
+    std::vector<double> serial(pairs.size()), parallel(pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      serial[i] = ScoreOf(model, *pairs[i]);
+    }
+    pool.ParallelFor(pairs.size(), [&](size_t i) {
+      parallel[i] = ScoreOf(model, *pairs[i]);
+    });
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(Bits(parallel[i]), Bits(serial[i]))
+          << nn::quant::QuantModeName(mode) << " pair " << i;
+    }
+  }
 }
 
 TEST(MatchingTest, ScoreBeforeTrainAborts) {
