@@ -91,36 +91,23 @@ void ConceptClassifier::Train(const std::vector<LabeledConcept>& data) {
   head_ = std::make_unique<nn::Mlp>(
       &store_, "head", std::vector<int>{concat_dim, 16, 1}, &init_rng_);
 
-  // Training loop: minibatches sharded across the optional worker pool.
-  nn::Adam adam(config_.lr);
+  // Minibatches sharded across the optional worker pool.
   Rng shuffle_rng(config_.seed ^ 0xD1CE);
-  nn::ParallelTrainer trainer(config_.pool);
-  std::vector<size_t> order(data.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const size_t batch = static_cast<size_t>(std::max(1, config_.batch_size));
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    shuffle_rng.Shuffle(&order);
-    store_.ZeroGrad();
-    for (size_t start = 0; start < order.size(); start += batch) {
-      const size_t count = std::min(batch, order.size() - start);
-      trainer.AccumulateBatch(count, [&](nn::Graph* g, size_t bi) -> float {
-        const size_t idx = order[start + bi];
-        const auto& sample = data[idx];
-        if (sample.tokens.empty()) return 0.0f;
-        Rng ex_rng(nn::ExampleSeed(config_.seed ^ 0xD1CE,
-                                   static_cast<uint64_t>(epoch), idx));
-        nn::Graph::Var logit =
-            Logit(g, sample.tokens, /*train=*/true, &ex_rng);
-        nn::Tensor target(1, 1);
-        target.At(0, 0) = static_cast<float>(sample.label);
-        nn::Graph::Var loss = g->SigmoidCrossEntropyWithLogits(logit, target);
-        g->Backward(loss);
-        return g->Value(loss).At(0, 0);
-      });
-      adam.Step(&store_);
-      store_.ZeroGrad();
-    }
-  }
+  auto example = [&](nn::Graph* g, size_t idx, int epoch) -> float {
+    const auto& sample = data[idx];
+    if (sample.tokens.empty()) return 0.0f;
+    Rng ex_rng(nn::ExampleSeed(config_.seed ^ 0xD1CE,
+                               static_cast<uint64_t>(epoch), idx));
+    nn::Graph::Var logit = Logit(g, sample.tokens, /*train=*/true, &ex_rng);
+    nn::Tensor target(1, 1);
+    target.At(0, 0) = static_cast<float>(sample.label);
+    nn::Graph::Var loss = g->SigmoidCrossEntropyWithLogits(logit, target);
+    g->Backward(loss);
+    return g->Value(loss).At(0, 0);
+  };
+  nn::ParallelTrainer(config_.pool)
+      .Train(&store_, config_.lr, config_.epochs, config_.batch_size,
+             data.size(), &shuffle_rng, example);
   trained_ = true;
 }
 

@@ -25,7 +25,6 @@
 
 #include "eval/metrics.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 #include "nn/rnn.h"
 #include "text/gloss_encoder.h"
 #include "text/ngram_lm.h"
@@ -61,8 +60,8 @@ struct ConceptClassifierConfig {
   float word_unk_prob = 0.2f;
   uint64_t seed = 31;
   /// Optional worker pool for data-parallel minibatches (not owned; null
-  /// trains on the calling thread). The trained model depends on the pool's
-  /// thread count only through the summation order of batch gradients.
+  /// trains on the calling thread). Any pool size trains the same model,
+  /// which differs from the unpooled one only in gradient summation order.
   ThreadPool* pool = nullptr;
 };
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/parallel_train.h"
 #include "text/tokenizer.h"
 
 namespace alicoco::hypernym {
@@ -60,7 +61,6 @@ nn::Graph::Var ProjectionModel::Logit(nn::Graph* g, const nn::Tensor& p,
 void ProjectionModel::Train(const std::vector<LabeledPair>& data) {
   ALICOCO_CHECK(!trained_);
   ALICOCO_CHECK(!data.empty());
-  nn::Adam adam(config_.lr);
   Rng rng(config_.seed ^ 0xC0FFEE);
   float positive_weight = 1.0f;
   if (config_.balance_classes) {
@@ -72,35 +72,22 @@ void ProjectionModel::Train(const std::vector<LabeledPair>& data) {
           static_cast<float>(data.size() - pos) / static_cast<float>(pos));
     }
   }
-  std::vector<size_t> order(data.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    store_.ZeroGrad();
-    int in_batch = 0;
-    for (size_t idx : order) {
-      const LabeledPair& pair = data[idx];
-      nn::Graph g;
-      nn::Graph::Var logit =
-          Logit(&g, PhraseEmbedding(pair.hypo), PhraseEmbedding(pair.hyper));
-      nn::Tensor target(1, 1);
-      target.At(0, 0) = static_cast<float>(pair.label);
-      nn::Graph::Var loss = g.SigmoidCrossEntropyWithLogits(logit, target);
-      if (pair.label == 1 && positive_weight != 1.0f) {
-        loss = g.ScalarMul(loss, positive_weight);
-      }
-      g.Backward(loss);
-      if (++in_batch >= config_.batch_size) {
-        adam.Step(&store_);
-        store_.ZeroGrad();
-        in_batch = 0;
-      }
+  auto example = [&](nn::Graph* g, size_t idx, int /*epoch*/) -> float {
+    const LabeledPair& pair = data[idx];
+    nn::Graph::Var logit = Logit(g, PhraseEmbedding(pair.hypo),
+                                 PhraseEmbedding(pair.hyper));
+    nn::Tensor target(1, 1);
+    target.At(0, 0) = static_cast<float>(pair.label);
+    nn::Graph::Var loss = g->SigmoidCrossEntropyWithLogits(logit, target);
+    if (pair.label == 1 && positive_weight != 1.0f) {
+      loss = g->ScalarMul(loss, positive_weight);
     }
-    if (in_batch > 0) {
-      adam.Step(&store_);
-      store_.ZeroGrad();
-    }
-  }
+    g->Backward(loss);
+    return g->Value(loss).At(0, 0);
+  };
+  nn::ParallelTrainer(/*pool=*/nullptr)
+      .Train(&store_, config_.lr, config_.epochs, config_.batch_size,
+             data.size(), &rng, example);
   trained_ = true;
 }
 

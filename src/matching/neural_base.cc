@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "nn/parallel_train.h"
 #include "nn/serialize.h"
 
 namespace alicoco::matching {
@@ -171,33 +172,20 @@ void NeuralMatcherBase::Train(const MatchingDataset& dataset) {
   ObserveVocabulary();
   BuildModel();
 
-  nn::Adam adam(config_.lr);
   Rng rng(config_.seed ^ 0xBEAD);
-  std::vector<size_t> order(dataset.train.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    store_.ZeroGrad();
-    int in_batch = 0;
-    for (size_t idx : order) {
-      const auto& ex = dataset.train[idx];
-      nn::Graph g;
-      nn::Graph::Var logit = Logit(&g, Encode(ex.concept_tokens),
-                                   Encode(ex.item_tokens), true, &rng);
-      nn::Tensor target(1, 1);
-      target.At(0, 0) = static_cast<float>(ex.label);
-      g.Backward(g.SigmoidCrossEntropyWithLogits(logit, target));
-      if (++in_batch >= config_.batch_size) {
-        adam.Step(&store_);
-        store_.ZeroGrad();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) {
-      adam.Step(&store_);
-      store_.ZeroGrad();
-    }
-  }
+  auto example = [&](nn::Graph* g, size_t idx, int /*epoch*/) -> float {
+    const auto& ex = dataset.train[idx];
+    nn::Graph::Var logit = Logit(g, Encode(ex.concept_tokens),
+                                 Encode(ex.item_tokens), true, &rng);
+    nn::Tensor target(1, 1);
+    target.At(0, 0) = static_cast<float>(ex.label);
+    nn::Graph::Var loss = g->SigmoidCrossEntropyWithLogits(logit, target);
+    g->Backward(loss);
+    return g->Value(loss).At(0, 0);
+  };
+  nn::ParallelTrainer(/*pool=*/nullptr)
+      .Train(&store_, config_.lr, config_.epochs, config_.batch_size,
+             dataset.train.size(), &rng, example);
   trained_ = true;
   BumpWeightsGeneration();
 }

@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "matching/dataset.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 #include "nn/quant.h"
 #include "obs/metrics.h"
 #include "text/skipgram.h"

@@ -18,7 +18,6 @@
 #include "mining/distant_supervision.h"
 #include "nn/crf.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 #include "nn/rnn.h"
 #include "text/vocabulary.h"
 
@@ -42,8 +41,8 @@ struct SequenceLabelerConfig {
   float word_unk_prob = 0.15f;
   uint64_t seed = 11;
   /// Optional worker pool for data-parallel minibatches (not owned; null
-  /// trains on the calling thread). The trained model depends on the pool's
-  /// thread count only through the summation order of batch gradients.
+  /// trains on the calling thread). Any pool size trains the same model,
+  /// which differs from the unpooled one only in gradient summation order.
   ThreadPool* pool = nullptr;
 };
 

@@ -43,6 +43,21 @@ size_t ParameterStore::TotalWeights() const {
   return total;
 }
 
+Tensor* GradientBuffer::GradFor(Parameter* p) {
+  auto it = grads_.find(p);
+  if (it == grads_.end()) {
+    it = grads_.emplace(p, Tensor(p->value.rows(), p->value.cols())).first;
+  }
+  return &it->second;
+}
+
+void GradientBuffer::ReduceInto() {
+  for (auto& [p, t] : grads_) {
+    p->grad.AddInPlace(t);
+    t.Zero();
+  }
+}
+
 Graph::Var Graph::NewNode(Tensor value, std::function<void()> backward) {
   auto node = std::make_unique<Node>();
   // Gradient buffers are materialized by Backward(); forward-only graphs

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -63,16 +64,24 @@ class ParameterStore {
   std::vector<std::unique_ptr<Parameter>> params_;
 };
 
-/// Redirects parameter-gradient accumulation away from Parameter::grad.
-/// Data-parallel training hands each worker thread its own sink so graphs
-/// built concurrently against a shared ParameterStore never write shared
-/// state; the per-thread buffers are reduced after the batch barrier.
-/// GradFor is only ever called from the thread that owns the sink.
-class GradientSink {
+/// Private per-shard gradient accumulator for data-parallel training
+/// (nn/parallel_train.h). A Graph built against a buffer sends every
+/// parameter gradient to GradFor(p) instead of p->grad, so graphs built
+/// concurrently against one ParameterStore never write shared state.
+/// GradFor is called only from the thread that owns the buffer; ReduceInto
+/// runs on the coordinating thread after the batch barrier. Buffers persist
+/// (zeroed) across batches so steady-state training does not allocate.
+class GradientBuffer {
  public:
-  virtual ~GradientSink() = default;
-  /// Accumulation buffer for `p`, same shape as p->value.
-  virtual Tensor* GradFor(Parameter* p) = 0;
+  /// Accumulation tensor for `p`, same shape as p->value.
+  Tensor* GradFor(Parameter* p);
+
+  /// Adds every buffered gradient into its parameter's grad tensor and
+  /// zeroes the buffer for reuse.
+  void ReduceInto();
+
+ private:
+  std::unordered_map<Parameter*, Tensor> grads_;
 };
 
 /// Dynamic computation graph. `Var` handles index nodes inside one graph and
@@ -81,9 +90,9 @@ class Graph {
  public:
   using Var = int;
 
-  /// With a sink, every parameter gradient this graph produces goes to
-  /// sink->GradFor(p) instead of p->grad.
-  explicit Graph(GradientSink* sink = nullptr) : sink_(sink) {}
+  /// With a buffer, every parameter gradient this graph produces goes to
+  /// buffer->GradFor(p) instead of p->grad.
+  explicit Graph(GradientBuffer* buffer = nullptr) : buffer_(buffer) {}
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
 
@@ -171,18 +180,18 @@ class Graph {
   /// creates a node with `value` whose backward invokes `backward` with the
   /// node's output gradient. The closure must push gradients to its inputs
   /// via AccumulateGrad, and to parameters via ParamGrad (never directly
-  /// through Parameter::grad, which would bypass the sink).
+  /// through Parameter::grad, which would bypass the buffer).
   Var Custom(Tensor value,
              std::function<void(const Tensor& out_grad)> backward);
 
   /// Adds `g` into the gradient buffer of node `v` (for Custom backwards).
   void AccumulateGrad(Var v, const Tensor& g);
 
-  /// Where gradients for `p` accumulate: the sink's buffer if one is
-  /// installed, p->grad otherwise. Custom backwards must route parameter
+  /// Where gradients for `p` accumulate: the graph's GradientBuffer if it
+  /// has one, p->grad otherwise. Custom backwards must route parameter
   /// gradients through this so data-parallel training stays race-free.
   Tensor* ParamGrad(Parameter* p) {
-    return sink_ != nullptr ? sink_->GradFor(p) : &p->grad;
+    return buffer_ != nullptr ? buffer_->GradFor(p) : &p->grad;
   }
 
   /// Runs reverse-mode accumulation from `loss` (must be 1x1). Parameter
@@ -205,7 +214,7 @@ class Graph {
   /// fused activation (0 = none, 1 = tanh, 2 = relu).
   Var AffineAct(Var x, Parameter* w, Parameter* b, int act);
 
-  GradientSink* sink_ = nullptr;
+  GradientBuffer* buffer_ = nullptr;
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 

@@ -1,28 +1,26 @@
-// Data-parallel minibatch training over a shared ThreadPool.
+// The minibatch training loop shared by every model.
 //
-// A minibatch is split into one contiguous shard per worker. Each shard
-// builds its graphs against a private GradientBuffer (a GradientSink), so
-// concurrent backward passes never touch the shared Parameter::grad
-// tensors. After the batch barrier the buffers are reduced into
-// Parameter::grad on the calling thread, in shard order, and the optimizer
-// steps exactly as it would after a sequential batch.
+// ParallelTrainer::Train owns the example order, its per-epoch shuffle,
+// contiguous batches (the last one may be short) and one Adam step per
+// batch; a model supplies only the per-example body.
 //
-// Determinism: shard boundaries are a pure function of (batch size, worker
-// count), and the reduction order is fixed, so a given pool size always
-// produces bit-identical results. Across different pool sizes only the
-// floating-point summation order of the batch gradient changes; any
-// per-example randomness (dropout, token masking) must come from an Rng
-// seeded per example (see ExampleSeed), not from a stream shared across
-// the batch.
+// With a pool, each batch is split into kShards contiguous shards. Each
+// shard builds its graphs against a private GradientBuffer, and after the
+// batch barrier the buffers are reduced into Parameter::grad on the calling
+// thread, in shard order. The layout depends on the batch size alone, so a
+// pooled model is bit-identical for every pool size. Per-example randomness
+// in a pooled body must come from an Rng seeded per example (ExampleSeed),
+// not from a stream shared across the batch. With a null pool the batch
+// runs in order on the calling thread, straight into Parameter::grad; it
+// differs from a pooled run only in the gradient summation order.
 
 #ifndef ALICOCO_NN_PARALLEL_TRAIN_H_
 #define ALICOCO_NN_PARALLEL_TRAIN_H_
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nn/graph.h"
 
@@ -42,45 +40,38 @@ inline uint64_t ExampleSeed(uint64_t base, uint64_t epoch, uint64_t example) {
   return z;
 }
 
-/// Per-worker gradient accumulator. GradFor is called only from the owning
-/// worker thread; ReduceInto is called from the coordinating thread after
-/// the pool barrier. Buffers persist (zeroed) across batches so steady-state
-/// training does not allocate.
-class GradientBuffer : public GradientSink {
- public:
-  Tensor* GradFor(Parameter* p) override;
-
-  /// Adds every buffered gradient into its parameter's shared grad tensor
-  /// and zeroes the buffer for reuse.
-  void ReduceInto();
-
- private:
-  std::unordered_map<Parameter*, Tensor> grads_;
-};
-
-/// Shards minibatches across a ThreadPool. With a null pool (or a single
-/// worker, or a single example) it degrades to the sequential path: graphs
-/// run sinkless and accumulate straight into Parameter::grad.
+/// Runs minibatch training, sharding each batch across an optional pool.
 class ParallelTrainer {
  public:
-  /// fn builds the graph for one example, runs Backward itself, and returns
-  /// the example loss. It must only touch shared model state read-only.
-  using ExampleFn = std::function<float(Graph* g, size_t index)>;
+  /// Contiguous shards per pooled batch (fewer when the batch is smaller).
+  static constexpr size_t kShards = 4;
+
+  /// Builds the graph for example `index` of a batch, runs Backward itself,
+  /// and returns the example loss. It must only touch shared model state
+  /// read-only.
+  using BatchFn = std::function<float(Graph* g, size_t index)>;
+  /// The per-example body of Train: `example` indexes the training data.
+  using ExampleFn = std::function<float(Graph* g, size_t example, int epoch)>;
 
   explicit ParallelTrainer(ThreadPool* pool) : pool_(pool) {}
 
-  /// Runs fn over [0, count), accumulating gradients into Parameter::grad
-  /// (via per-shard buffers when parallel). Returns the summed loss.
-  /// The caller applies the optimizer step afterwards.
-  float AccumulateBatch(size_t count, const ExampleFn& fn);
+  /// Trains `store`'s parameters with Adam(lr) for `epochs` passes over the
+  /// examples [0, n). Each epoch shuffles the visiting order with `rng`
+  /// (the order persists across epochs, as each shuffle permutes the last)
+  /// and walks it in contiguous batches of max(1, batch_size); every batch
+  /// ends in one optimizer step. Without a pool, examples run in order, so
+  /// the body may draw from `rng` as well.
+  void Train(ParameterStore* store, float lr, int epochs, int batch_size,
+             size_t n, Rng* rng, const ExampleFn& fn);
 
-  size_t num_workers() const {
-    return pool_ == nullptr ? 1 : pool_->num_threads();
-  }
+  /// Runs fn over [0, count), accumulating gradients into Parameter::grad
+  /// (via per-shard buffers when pooled). Returns the summed loss. The
+  /// caller applies the optimizer step afterwards.
+  float AccumulateBatch(size_t count, const BatchFn& fn);
 
  private:
   ThreadPool* pool_;
-  std::vector<GradientBuffer> buffers_;  // lazily sized to the shard count
+  GradientBuffer buffers_[kShards];
 };
 
 }  // namespace alicoco::nn

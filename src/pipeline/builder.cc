@@ -109,9 +109,11 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
   };
 
   // One worker pool serves the whole build: data-parallel minibatches in
-  // the mining and ec_concepts trainers, and the item-association scorer
-  // fan-out below. Declared after the metrics adapter so the pool (and its
-  // workers) wind down before the observer they report to.
+  // the mining and ec_concepts trainers (sharded the same way whatever the
+  // pool's size, so the net does not depend on it), and the
+  // item-association scorer fan-out below. Declared after the metrics
+  // adapter so the pool (and its workers) wind down before the observer
+  // they report to.
   std::optional<obs::ThreadPoolMetrics> pool_metrics;
   if (metrics != nullptr) {
     pool_metrics.emplace(metrics, "pipeline.worker_pool");
@@ -650,6 +652,16 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
               report->item_primitive_links);
   stage_count("item_association", "item_ec_links", report->item_ec_links);
   stage_gauge("item_association", "assoc_threshold", assoc_threshold);
+  // Concepts and items but not one link between them is a degenerate layer:
+  // every item-side app would come up empty, so the build fails instead.
+  if (report->item_ec_links == 0 && !net.ec_concepts().empty() &&
+      !net_items.empty()) {
+    return Status::Internal(
+        "item association linked no item to any of the " +
+        std::to_string(net.ec_concepts().size()) + " e-commerce concepts (" +
+        std::to_string(net_items.size()) + " items, threshold " +
+        std::to_string(assoc_threshold) + ")");
+  }
 
   // ---- Stage 8: commonsense relation inference (Section 10) ----
   begin_stage("relation_inference");

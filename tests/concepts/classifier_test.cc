@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "datagen/resources.h"
 #include "datagen/world.h"
 
@@ -115,6 +116,30 @@ TEST(ConceptClassifierTest, ScoreInUnitInterval) {
     EXPECT_LE(s, 1.0);
   }
   EXPECT_EQ(model.Score({}), 0.0);
+}
+
+// Pooled training shards every batch the same way whatever the pool's
+// size, so the trained model scores bit-identically across pools.
+TEST(ConceptClassifierTest, PoolSizeDoesNotChangeModel) {
+  Fixture& f = SharedFixture();
+  ConceptClassifierConfig cfg;
+  cfg.epochs = 1;
+  std::vector<double> ref;
+  for (size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    cfg.pool = &pool;
+    ConceptClassifier model(cfg, f.Res());
+    model.Train(f.train);
+    std::vector<double> scores;
+    for (size_t i = 0; i < 40 && i < f.test.size(); ++i) {
+      scores.push_back(model.Score(f.test[i].tokens));
+    }
+    if (threads == 1) {
+      ref = scores;
+    } else {
+      EXPECT_EQ(scores, ref) << threads << " threads";
+    }
+  }
 }
 
 TEST(ConceptClassifierTest, MissingResourcesAbort) {

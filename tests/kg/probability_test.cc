@@ -1,6 +1,10 @@
 // Probabilistic item-concept edges (paper future work 2).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <string>
 
 #include "kg/concept_net.h"
 #include "kg/persistence.h"
@@ -73,9 +77,16 @@ TEST_P(ProbabilitySweep, RoundTripPrecision) {
   EcConceptId ec = *net.GetOrAddEcConcept({"x"});
   ItemId item = *net.AddItem({"y"}, category);
   ASSERT_TRUE(net.LinkItemToEc(item, ec, GetParam()).ok());
-  std::string path = std::string(::testing::TempDir()) + "/prob_sweep.txt";
+  // ctest runs each parameter in its own process: one file per parameter
+  // index and process, so no case reads a file another case is rewriting.
+  const std::string name =  // "RoundTripPrecision/<index>"
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::string path = std::string(::testing::TempDir()) + "/prob_sweep_" +
+                     name.substr(name.rfind('/') + 1) + "_" +
+                     std::to_string(::getpid()) + ".txt";
   ASSERT_TRUE(SaveConceptNet(net, path).ok());
   auto loaded = LoadConceptNet(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(loaded.ok());
   EXPECT_NEAR(loaded->ItemEcProbability(item, ec), GetParam(), 1e-5);
 }

@@ -1,8 +1,15 @@
 #include "mining/sequence_labeler.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace alicoco::mining {
 namespace {
@@ -76,6 +83,47 @@ TEST(SequenceLabelerTest, DeterministicGivenSeed) {
   auto ta = a.Predict({"the", "velkor", "boot"});
   auto tb = b.Predict({"the", "velkor", "boot"});
   EXPECT_EQ(ta, tb);
+}
+
+// Pooled training shards every batch the same way whatever the pool's
+// size, so the trained weights (and hence every prediction) are
+// bit-identical across pools.
+TEST(SequenceLabelerTest, PoolSizeDoesNotChangeModel) {
+  SequenceLabelerConfig cfg;
+  cfg.epochs = 2;
+  auto data = MakeData(90, 6);  // batches of 8 with a short tail
+  const std::string dir = ::testing::TempDir() + "/labeler_pool_" +
+                          std::to_string(::getpid()) + "_";
+  std::string ref_weights;
+  std::vector<std::vector<std::string>> ref_tags;
+  for (size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    cfg.pool = &pool;
+    SequenceLabeler labeler(cfg);
+    labeler.Train(data);
+    const std::string path = dir + std::to_string(threads) + ".ckpt";
+    ASSERT_TRUE(labeler.Save(path).ok());
+    std::string weights;
+    {
+      std::ifstream in(path + ".weights", std::ios::binary);
+      weights.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    std::remove(path.c_str());
+    std::remove((path + ".weights").c_str());
+    ASSERT_FALSE(weights.empty());
+    std::vector<std::vector<std::string>> tags;
+    for (const auto& s : MakeData(30, 7)) {
+      tags.push_back(labeler.Predict(s.tokens));
+    }
+    if (threads == 1) {
+      ref_weights = weights;
+      ref_tags = tags;
+    } else {
+      EXPECT_TRUE(weights == ref_weights) << threads << " threads";
+      EXPECT_EQ(tags, ref_tags) << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

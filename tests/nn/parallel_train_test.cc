@@ -1,7 +1,8 @@
-// Tests for data-parallel gradient accumulation: GradientBuffer reduction,
-// parallel-vs-sequential equivalence of a real training step, and a stress
-// test sized for ThreadSanitizer (many concurrent backward passes against
-// one shared ParameterStore).
+// Tests for the shared training loop and its data-parallel gradient
+// accumulation: GradientBuffer reduction, parallel-vs-sequential
+// equivalence of a real training step, bit-identity across pool sizes, and
+// a stress test sized for ThreadSanitizer (many concurrent backward passes
+// against one shared ParameterStore).
 
 #include "nn/parallel_train.h"
 
@@ -43,44 +44,42 @@ TEST(ParallelTrainingTest, ExampleSeedIsPerExample) {
   EXPECT_NE(ExampleSeed(1, 0, 0), ExampleSeed(2, 0, 0));
 }
 
-// One batch through a small model: the pooled path must produce the same
-// batch gradient as the sequential path (up to float summation order).
-TEST(ParallelTrainingTest, PooledBatchMatchesSequential) {
+// One batch of 13 examples through a small model; appends every parameter
+// gradient to `grads` and returns the summed loss.
+float RunBatch(ThreadPool* pool, std::vector<float>* grads) {
   const int kIn = 6, kOut = 4, kBatch = 13;
-  auto build_inputs = [&] {
-    Rng rng(21);
-    std::vector<Tensor> xs;
-    for (int i = 0; i < kBatch; ++i) {
-      xs.push_back(Tensor::Randn(1, kIn, 1.0f, &rng));
+  Rng rng(20);
+  ParameterStore store;
+  Linear fc(&store, "fc", kIn, kOut, &rng);
+  Rng input_rng(21);
+  std::vector<Tensor> xs;
+  for (int i = 0; i < kBatch; ++i) {
+    xs.push_back(Tensor::Randn(1, kIn, 1.0f, &input_rng));
+  }
+  store.ZeroGrad();
+  ParallelTrainer trainer(pool);
+  float loss = trainer.AccumulateBatch(
+      static_cast<size_t>(kBatch), [&](Graph* g, size_t i) -> float {
+        Graph::Var y = fc.ApplyTanh(g, g->Input(xs[i]));
+        Graph::Var l = g->MeanAll(g->Mul(y, y));
+        g->Backward(l);
+        return g->Value(l).At(0, 0);
+      });
+  for (const auto& p : store.params()) {
+    for (size_t i = 0; i < p->grad.size(); ++i) {
+      grads->push_back(p->grad.data()[i]);
     }
-    return xs;
-  };
-  auto run = [&](ThreadPool* pool, std::vector<float>* grads) -> float {
-    Rng rng(20);
-    ParameterStore store;
-    Linear fc(&store, "fc", kIn, kOut, &rng);
-    std::vector<Tensor> xs = build_inputs();
-    store.ZeroGrad();
-    ParallelTrainer trainer(pool);
-    float loss = trainer.AccumulateBatch(
-        static_cast<size_t>(kBatch), [&](Graph* g, size_t i) -> float {
-          Graph::Var y = fc.ApplyTanh(g, g->Input(xs[i]));
-          Graph::Var l = g->MeanAll(g->Mul(y, y));
-          g->Backward(l);
-          return g->Value(l).At(0, 0);
-        });
-    for (const auto& p : store.params()) {
-      for (size_t i = 0; i < p->grad.size(); ++i) {
-        grads->push_back(p->grad.data()[i]);
-      }
-    }
-    return loss;
-  };
+  }
+  return loss;
+}
 
+// The pooled path must produce the same batch gradient as the sequential
+// path, up to float summation order.
+TEST(ParallelTrainingTest, PooledBatchMatchesSequential) {
   std::vector<float> seq_grads, par_grads;
-  float seq_loss = run(nullptr, &seq_grads);
+  float seq_loss = RunBatch(nullptr, &seq_grads);
   ThreadPool pool(4);
-  float par_loss = run(&pool, &par_grads);
+  float par_loss = RunBatch(&pool, &par_grads);
 
   EXPECT_NEAR(seq_loss, par_loss, 1e-4f * std::fabs(seq_loss) + 1e-6f);
   ASSERT_EQ(seq_grads.size(), par_grads.size());
@@ -88,6 +87,50 @@ TEST(ParallelTrainingTest, PooledBatchMatchesSequential) {
     EXPECT_NEAR(seq_grads[i], par_grads[i],
                 1e-4f * std::fabs(seq_grads[i]) + 1e-6f);
   }
+}
+
+// The shard layout depends on the batch alone, so every pool size sums the
+// batch gradient in the same order: bit-identical results.
+TEST(ParallelTrainingTest, PoolSizeDoesNotChangeGradients) {
+  std::vector<float> ref_grads;
+  float ref_loss;
+  {
+    ThreadPool pool(1);
+    ref_loss = RunBatch(&pool, &ref_grads);
+  }
+  for (size_t threads : {2, 3, 4}) {
+    ThreadPool pool(threads);
+    std::vector<float> grads;
+    float loss = RunBatch(&pool, &grads);
+    EXPECT_EQ(loss, ref_loss) << threads << " threads";
+    EXPECT_EQ(grads, ref_grads) << threads << " threads";
+  }
+}
+
+// Train owns the epoch loop: every example is visited once per epoch, in a
+// freshly shuffled order, and the parameters move.
+TEST(ParallelTrainingTest, TrainVisitsEachExampleOncePerEpoch) {
+  const int kEpochs = 3;
+  ParameterStore store;
+  Parameter* w = store.Create("w", 1, 1, ParameterStore::Init::kZero,
+                              nullptr);
+  std::vector<int> visits(10, 0);
+  std::vector<std::vector<size_t>> orders(kEpochs);
+  Rng rng(9);
+  ParallelTrainer(nullptr).Train(
+      &store, 0.1f, kEpochs, /*batch_size=*/4, visits.size(), &rng,
+      [&](Graph* g, size_t example, int epoch) -> float {
+        ++visits[example];
+        orders[static_cast<size_t>(epoch)].push_back(example);
+        Tensor target(1, 1);
+        target.At(0, 0) = 1.0f;
+        Graph::Var l = g->SigmoidCrossEntropyWithLogits(g->Use(w), target);
+        g->Backward(l);
+        return g->Value(l).At(0, 0);
+      });
+  for (int v : visits) EXPECT_EQ(v, kEpochs);
+  EXPECT_NE(orders[0], orders[1]);
+  EXPECT_GT(w->value.At(0, 0), 0.0f);
 }
 
 // TSan stress: several epochs of pooled minibatches over a model with an

@@ -20,6 +20,13 @@ struct Built {
   Built() : world(datagen::World::Generate(WorldCfg())) {
     resources = std::make_unique<datagen::WorldResources>(
         world, datagen::ResourcesConfig{});
+    AliCoCoBuilder builder(&world, resources.get(), Config());
+    auto result = builder.Build(&report);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    net = std::move(result).ValueOrDie();
+  }
+
+  static PipelineConfig Config() {
     PipelineConfig cfg;
     cfg.labeler.epochs = 3;
     cfg.mining_epochs = 2;
@@ -28,10 +35,7 @@ struct Built {
     cfg.tagger.epochs = 4;
     cfg.matcher.base.epochs = 4;
     cfg.association_candidates = 60;
-    AliCoCoBuilder builder(&world, resources.get(), cfg);
-    auto result = builder.Build(&report);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    net = std::move(result).ValueOrDie();
+    return cfg;
   }
 
   static datagen::WorldConfig WorldCfg() {
@@ -114,6 +118,23 @@ TEST(PipelineTest, StatisticsHaveTable2Shape) {
   EXPECT_GT(stats.num_ec_concepts, 0u);
   EXPECT_GT(stats.num_items, 0u);
   EXPECT_GT(stats.total_relations, stats.num_items);
+}
+
+// Scores are probabilities, so a threshold above 1 links no item to any
+// concept: the degenerate item-EC layer must fail the build, not ship.
+TEST(PipelineTest, EmptyItemEcLayerFailsBuild) {
+  datagen::World world = datagen::World::Generate(Built::WorldCfg());
+  datagen::WorldResources resources(world, datagen::ResourcesConfig{});
+  PipelineConfig cfg = Built::Config();
+  cfg.association_min_threshold = 2.0;
+  BuildReport report;
+  auto result = AliCoCoBuilder(&world, &resources, cfg).Build(&report);
+  ASSERT_GT(report.ec_accepted, 0u);
+  ASSERT_GT(report.items_added, 0u);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().ToString().find("linked no item"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 }  // namespace

@@ -117,6 +117,6 @@ cmake --build --preset tsan -j "${JOBS}"
 # pool. Running the full suite under TSan works too but takes far longer
 # for no extra thread coverage.
 TSAN_OPTIONS="halt_on_error=1" \
-  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|HeapStats|LockStats|LockContentionMetrics|Training|Skipgram|Classifier|Matching|Tagger|Projection'
+  ctest --preset tsan -R 'ThreadPool|ObsRace|ProfRace|HeapStats|LockStats|LockContentionMetrics|Training|Skipgram|Classifier|SequenceLabeler|Matching|Tagger|Projection'
 
 step "all green"
