@@ -138,6 +138,11 @@ nn::Graph::Var ConceptClassifier::Logit(nn::Graph* g,
   wx = g->Dropout(wx, 0.1f, train, rng);
   nn::Graph::Var w_states = word_attn_->Apply(g, word_bilstm_->Run(g, wx));
 
+  // The knowledge-overlap features feed both the pooled vector and the
+  // skip head below; computed once per example.
+  std::vector<float> overlap_feats;
+  if (config_.use_knowledge) overlap_feats = KnowledgeOverlapFeatures(tokens);
+
   nn::Graph::Var c2;
   if (config_.use_knowledge) {
     // Knowledge side: per-word gloss vectors, projected and self-attended;
@@ -156,8 +161,8 @@ nn::Graph::Var ConceptClassifier::Logit(nn::Graph* g,
     }
     nn::Graph::Var k_states = know_attn_->Apply(
         g, g->Tanh(know_proj_->Apply(g, g->Input(std::move(gloss_mat)))));
-    nn::Graph::Var overlap = g->Input(nn::Tensor::FromVector(
-        1, kKnowledgeFeatureDim, KnowledgeOverlapFeatures(tokens)));
+    nn::Graph::Var overlap = g->Input(
+        nn::Tensor::FromVector(1, kKnowledgeFeatureDim, overlap_feats));
     c2 = g->ConcatCols(
         {g->MaxRows(w_states), g->MaxRows(k_states), overlap});
   } else {
@@ -179,7 +184,7 @@ nn::Graph::Var ConceptClassifier::Logit(nn::Graph* g,
                    know_skip_->Apply(
                        g, g->Input(nn::Tensor::FromVector(
                               1, kKnowledgeFeatureDim,
-                              KnowledgeOverlapFeatures(tokens)))));
+                              std::move(overlap_feats)))));
   }
   return logit;
 }

@@ -116,10 +116,8 @@ class Graph {
   /// Elementwise (Hadamard) product, same shape.
   Var Mul(Var a, Var b);
   Var ScalarMul(Var a, float s);
-  Var AddScalar(Var a, float s);
 
   // ---- nonlinearities ----
-  Var Sigmoid(Var a);
   Var Tanh(Var a);
   Var Relu(Var a);
   /// Softmax independently over each row.

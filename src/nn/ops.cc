@@ -119,36 +119,6 @@ Graph::Var Graph::ScalarMul(Var a, float s) {
   return out;
 }
 
-Graph::Var Graph::AddScalar(Var a, float s) {
-  Tensor v = nodes_[a]->value;
-  for (size_t i = 0; i < v.size(); ++i) v.data()[i] += s;
-  Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    nodes_[a]->grad.AddInPlace(nodes_[out]->grad);
-  };
-  return out;
-}
-
-Graph::Var Graph::Sigmoid(Var a) {
-  Tensor v = nodes_[a]->value;
-  for (size_t i = 0; i < v.size(); ++i) {
-    float x = v.data()[i];
-    v.data()[i] = x >= 0 ? 1.0f / (1.0f + std::exp(-x))
-                         : std::exp(x) / (1.0f + std::exp(x));
-  }
-  Var out = NewNode(std::move(v));
-  nodes_[out]->backward = [this, out, a] {
-    const Tensor& y = nodes_[out]->value;
-    const Tensor& g = nodes_[out]->grad;
-    Tensor& ag = nodes_[a]->grad;
-    for (size_t i = 0; i < g.size(); ++i) {
-      float yi = y.data()[i];
-      ag.data()[i] += g.data()[i] * yi * (1.0f - yi);
-    }
-  };
-  return out;
-}
-
 Graph::Var Graph::Tanh(Var a) {
   Tensor v = nodes_[a]->value;
   for (size_t i = 0; i < v.size(); ++i) v.data()[i] = std::tanh(v.data()[i]);

@@ -1,7 +1,7 @@
 // The tree's one JSON reader.
 //
 // Just enough of RFC 8259 for the JSON the repo reads back: the BENCH_*.json
-// baselines (stage profile, kernel suite, lint self-bench) and alicoco_lint's
+// baselines (stage profile, kernel suite) and alicoco_lint's
 // SARIF output. Objects, arrays, strings, numbers, true/false/null. Key
 // order is preserved, duplicate keys keep their first occurrence in Find,
 // and unknown fields are the caller's business to ignore — which is what

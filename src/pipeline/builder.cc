@@ -665,18 +665,14 @@ Result<kg::ConceptNet> AliCoCoBuilder::Build(BuildReport* report) {
 
   // ---- Stage 8: commonsense relation inference (Section 10) ----
   begin_stage("relation_inference");
-  if (config_.infer_relations) {
-    mining::RelationInference inference(&net);
-    mining::RelationInferenceConfig rel_cfg;
-    rel_cfg.min_lift = config_.relation_min_lift;
-    rel_cfg.min_support = config_.relation_min_support;
-    report->inferred_relations +=
-        mining::RelationInference::Commit(inference.InferSuitableWhen(rel_cfg),
-                                        &net);
-    report->inferred_relations +=
-        mining::RelationInference::Commit(inference.InferUsedWhen(rel_cfg),
-                                        &net);
-  }
+  mining::RelationInference inference(&net);
+  mining::RelationInferenceConfig rel_cfg;
+  rel_cfg.min_lift = config_.relation_min_lift;
+  rel_cfg.min_support = config_.relation_min_support;
+  report->inferred_relations += mining::RelationInference::Commit(
+      inference.InferSuitableWhen(rel_cfg), &net);
+  report->inferred_relations += mining::RelationInference::Commit(
+      inference.InferUsedWhen(rel_cfg), &net);
   stage_count("relation_inference", "inferred_relations",
               report->inferred_relations);
 

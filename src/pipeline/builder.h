@@ -71,9 +71,8 @@ struct PipelineConfig {
   /// kernels (kNone = fp32). Tolerances are documented in DESIGN.md §5.
   nn::quant::QuantMode association_quant = nn::quant::QuantMode::kNone;
   /// Stage 8: commonsense relation inference over the built catalog
-  /// (future work items 1-2). Inferred typed relations enter the net with
-  /// lift-derived confidences.
-  bool infer_relations = true;
+  /// (future work items 1-2), always run. Inferred typed relations enter
+  /// the net with lift-derived confidences.
   double relation_min_lift = 1.5;
   size_t relation_min_support = 5;
   /// Concept pages are ranked lists: at most this many top-scoring items

@@ -1,22 +1,25 @@
 #!/usr/bin/env bash
-# Full verification ladder, in increasing cost:
+# Full verification ladder, in the order the steps run:
 #
 #   1. lint gate (tools/lint.sh): per-file rules over the whole tree, then
 #      the cross-file passes (include-graph layering, lock-order deadlock
 #      detection, discarded-result, CFG dataflow, untrusted-input taint)
 #      via `alicoco_lint --project src`, leaving
 #      build/lint/alicoco_lint.sarif for CI artifact upload
-#   2. plain RelWithDebInfo build + full ctest, then the suite again with
-#      ALICOCO_SIMD=scalar so the portable kernel tier stays covered on
-#      AVX2 hardware
-#   3. stage profile gate: obs_report's per-stage wall and cpu time vs the
+#   2. plain RelWithDebInfo build + full ctest
+#   3. forced-scalar kernel tier: the full ctest again with
+#      ALICOCO_SIMD=scalar so the portable kernels stay covered on AVX2
+#      hardware
+#   4. stage profile gate: obs_report's per-stage wall and cpu time vs the
 #      committed BENCH_profile.json, disabled-overhead <1%, collapsed-stack
 #      smoke and a schema re-read of the fresh profile
-#   4. kernel smoke gate (bench_micro vs committed BENCH_kernels.json)
-#   5. ASan+UBSan build + full ctest   (DCHECKs forced on), then an
-#      explicit corrupted-checkpoint corpus replay: every deserializer
+#   5. kernel smoke gate (bench_micro vs committed BENCH_kernels.json)
+#   6. ASan+UBSan build + full ctest   (DCHECKs forced on)
+#   7. corrupted-checkpoint corpus replay under ASan: every deserializer
 #      over the committed truncated/bit-flipped inputs in tests/corpus/
-#   6. TSan build + threaded tests     (DCHECKs forced on)
+#   8. TSan build + threaded tests     (DCHECKs forced on)
+#
+# Steps 6-8 are skipped with --fast.
 #
 # Any sanitizer report aborts the offending test (halt_on_error /
 # -fno-sanitize-recover), so a non-zero ctest exit IS the sanitizer gate.
@@ -48,15 +51,6 @@ step "forced-scalar kernel tier + tests"
 # so CI covers the scalar fp32/int8/fp16 kernels (and the quantized formats
 # on top of them) even on AVX2 hardware where CPUID would pick SIMD.
 ALICOCO_SIMD=scalar ctest --preset default
-
-step "analyzer self-bench gate"
-# Cold vs warm analysis of the real tree on the simulated cost clock, plus
-# the interprocedural-tier cost, compared against the committed baseline.
-# Figures are machine-independent (simulated clock), so the ratio is tight.
-mkdir -p build/obs
-build/tools/lint/alicoco_lint --root . --project src \
-  --self-bench build/obs/BENCH_lint.json \
-  --bench-baseline tools/lint/BENCH_lint.json --max-regress 0.25
 
 step "stage profile gate"
 # Re-runs the instrumented bench pipeline and compares per-stage wall and
@@ -101,7 +95,7 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 step "corrupted-checkpoint corpus replay (ASan)"
 # Replays tests/corpus/ — truncated, bit-flipped, and oversized-count
 # inputs for every deserializer (kg snapshot, nn checkpoint + quantized
-# store, stage profile, SARIF, lint cache) — under ASan explicitly,
+# store, stage profile, SARIF) — under ASan explicitly,
 # so a corrupt-input regression is named by the gate that catches it.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <map>
 #include <set>
@@ -13,19 +12,8 @@
 #include "tools/lint/passes/passes.h"
 
 namespace alicoco::lint {
-namespace {
 
 namespace fs = std::filesystem;
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-}  // namespace
 
 bool KnownRule(const std::string& id) {
   for (const auto& rule : RuleRegistry()) {
@@ -139,31 +127,12 @@ std::vector<Finding> AnalyzeSource(const std::string& path,
 
 Result<std::vector<Finding>> AnalyzeTree(const std::string& root,
                                          const Suppressions* suppressions) {
-  static const char* kRoots[] = {"src", "tests", "bench", "examples",
-                                 "tools/lint"};
-  static const char* kExtensions[] = {".h", ".hpp", ".cc", ".cpp"};
-
-  std::vector<std::string> paths;
-  for (const char* sub : kRoots) {
-    fs::path dir = fs::path(root) / sub;
-    if (!fs::is_directory(dir)) continue;
-    for (auto it = fs::recursive_directory_iterator(dir);
-         it != fs::recursive_directory_iterator(); ++it) {
-      if (it->is_directory() && it->path().filename() == "fixtures") {
-        it.disable_recursion_pending();  // fixture corpus is deliberately bad
-        continue;
-      }
-      if (!it->is_regular_file()) continue;
-      std::string ext = it->path().extension().string();
-      if (std::find(std::begin(kExtensions), std::end(kExtensions), ext) ==
-          std::end(kExtensions)) {
-        continue;
-      }
-      paths.push_back(
-          fs::relative(it->path(), fs::path(root)).generic_string());
-    }
+  std::vector<std::string> roots;
+  for (const char* sub : {"src", "tests", "bench", "examples", "tools/lint"}) {
+    if (fs::is_directory(fs::path(root) / sub)) roots.push_back(sub);
   }
-  std::sort(paths.begin(), paths.end());
+  ALICOCO_ASSIGN_OR_RETURN(std::vector<std::string> paths,
+                           ListSourceFiles(root, roots));
 
   std::vector<Finding> findings;
   for (const std::string& rel : paths) {
@@ -186,12 +155,8 @@ std::string FormatFinding(const Finding& finding) {
 
 Result<ProjectReport> AnalyzeProject(const std::string& root,
                                      const ProjectOptions& options) {
-  ProjectIndex::Options index_options;
-  index_options.cache_path = options.cache_path;
-  index_options.cost_clock = options.cost_clock;
-  ALICOCO_ASSIGN_OR_RETURN(
-      ProjectIndex index,
-      ProjectIndex::Build(root, {options.project_dir}, index_options));
+  ALICOCO_ASSIGN_OR_RETURN(ProjectIndex index,
+                           ProjectIndex::Build(root, {options.project_dir}));
 
   std::string layers_path = options.layers_path.empty()
                                 ? (fs::path(root) / "tools/lint/layers.txt")
@@ -209,15 +174,8 @@ Result<ProjectReport> AnalyzeProject(const std::string& root,
   std::vector<Finding> pass_findings =
       RunAllPasses(index, layers, &interproc_stats, &taint_stats);
   findings.insert(findings.end(), pass_findings.begin(), pass_findings.end());
-  if (options.cost_clock != nullptr) {
-    options.cost_clock->AdvanceUs(interproc_stats.cost_us);
-    options.cost_clock->AdvanceUs(taint_stats.cost_us);
-  }
 
-  std::set<std::string> changed(index.changed().begin(),
-                                index.changed().end());
   auto drop = [&](const Finding& f) {
-    if (options.changed_only && changed.count(f.file) == 0) return true;
     if (options.suppressions != nullptr &&
         options.suppressions->Matches(f.rule, f.file)) {
       return true;

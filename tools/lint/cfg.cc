@@ -5,14 +5,6 @@
 namespace alicoco::lint {
 namespace {
 
-bool IsIdent(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kIdentifier && t->text == text;
-}
-
-bool IsPunct(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
-}
-
 /// Builds one function's CFG with a single recursive-descent walk over the
 /// body tokens. Blocks are numbered in creation order, so the graph — and
 /// everything derived from it — is deterministic.

@@ -6,7 +6,6 @@
 #include <sstream>
 
 namespace alicoco::lint {
-namespace {
 
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -15,8 +14,6 @@ Result<std::string> ReadFile(const std::string& path) {
   buf << in.rdbuf();
   return buf.str();
 }
-
-}  // namespace
 
 void Digraph::AddNode(const std::string& node) { adjacency_[node]; }
 

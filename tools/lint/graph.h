@@ -18,6 +18,10 @@
 
 namespace alicoco::lint {
 
+/// Reads a whole file; the error names the path. Shared by every lint
+/// loader (layers, suppressions, the tree walks).
+Result<std::string> ReadFile(const std::string& path);
+
 /// One witness site for a graph edge: where in the tree the dependency is
 /// introduced (an #include line, a lock acquisition).
 struct EdgeSite {

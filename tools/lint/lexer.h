@@ -13,6 +13,7 @@
 #define ALICOCO_TOOLS_LINT_LEXER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace alicoco::lint {
@@ -32,6 +33,24 @@ struct Token {
   std::string text;
   int line = 0;  // 1-based line of the token's first character
 };
+
+/// Null-safe token predicates shared by the rules, the index extractor and
+/// the passes; a null token (past the end of a stream) matches nothing.
+inline bool IsIdent(const Token* t) {
+  return t != nullptr && t->kind == TokenKind::kIdentifier;
+}
+
+inline bool IsIdent(const Token* t, std::string_view text) {
+  return IsIdent(t) && t->text == text;
+}
+
+inline bool IsPunct(const Token* t, std::string_view text) {
+  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
+}
+
+inline bool IsNumber(const Token* t) {
+  return t != nullptr && t->kind == TokenKind::kNumber;
+}
 
 /// Lexes `source` into tokens. Never fails: unterminated constructs are
 /// closed at end of input so analysis of broken fixtures stays total.

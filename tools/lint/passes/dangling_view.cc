@@ -23,32 +23,12 @@
 namespace alicoco::lint {
 namespace {
 
-bool IsIdentTok(const Token* t) {
-  return t != nullptr && t->kind == TokenKind::kIdentifier;
-}
-
-bool IsPunct(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
-}
-
 bool IsOwnerType(const std::string& name) {
   return name == "string" || name == "vector" || name == "array";
 }
 
 bool IsViewType(const std::string& name) {
   return name == "string_view" || name == "span";
-}
-
-/// Matches `std :: <name>` ending at index `j` of the name; fills `name`.
-bool StdName(const std::vector<const Token*>& code, size_t j,
-             std::string* name) {
-  if (!IsIdentTok(code[j])) return false;
-  if (j < 2) return false;
-  if (!IsPunct(code[j - 1], "::")) return false;
-  const Token* root = code[j - 2];
-  if (!IsIdentTok(root) || root->text != "std") return false;
-  *name = code[j]->text;
-  return true;
 }
 
 struct VarDecl {
@@ -69,7 +49,7 @@ std::string TemporaryMaker(const std::vector<const Token*>& code, size_t begin,
                            size_t end) {
   for (size_t j = begin; j + 1 < end; ++j) {
     const Token* t = code[j];
-    if (!IsIdentTok(t)) continue;
+    if (!IsIdent(t)) continue;
     if ((IsPunct(code[j > 0 ? j - 1 : 0], ".") ||
          IsPunct(code[j > 0 ? j - 1 : 0], "->")) &&
         IsPunct(code[j + 1], "(") &&
@@ -90,7 +70,7 @@ std::string OwnerNamedIn(const std::vector<const Token*>& code, size_t begin,
                          size_t end, const Locals& locals) {
   for (size_t j = begin; j < end; ++j) {
     const Token* t = code[j];
-    if (!IsIdentTok(t)) continue;
+    if (!IsIdent(t)) continue;
     if (j > begin &&
         (IsPunct(code[j - 1], ".") || IsPunct(code[j - 1], "->") ||
          IsPunct(code[j - 1], "::"))) {
@@ -153,7 +133,7 @@ class Analysis {
     // `view = owner...` or `Type view = owner...` rebinding.
     for (size_t j = stmt.begin; j + 1 < stmt.end; ++j) {
       const Token* t = code_[j];
-      if (!IsIdentTok(t)) continue;
+      if (!IsIdent(t)) continue;
       if (locals_.views.count(t->text) == 0) continue;
       if (!IsPunct(code_[j + 1], "=") && !IsPunct(code_[j + 1], "{")) continue;
       if (j + 2 < stmt.end && IsPunct(code_[j + 2], "=")) continue;  // ==
@@ -192,7 +172,7 @@ class Analysis {
     // A static (or thread_local) local outlives every view of it; the
     // function-local-returns-a-reference idiom over one is deliberate.
     for (size_t j = stmt.begin; j < stmt.end; ++j) {
-      if (IsIdentTok(code_[j]) && (code_[j]->text == "static" ||
+      if (IsIdent(code_[j]) && (code_[j]->text == "static" ||
                                    code_[j]->text == "thread_local")) {
         return;
       }
@@ -223,7 +203,7 @@ class Analysis {
       // A reference or pointer declaration does not own; `&`/`*` also
       // covers mentions in casts and expressions.
       if (IsPunct(code_[k], "&") || IsPunct(code_[k], "*")) continue;
-      if (!IsIdentTok(code_[k])) continue;
+      if (!IsIdent(code_[k])) continue;
       const Token* name_tok = code_[k];
       // `std::string foo(` at statement start could be a nested function
       // declaration; require an initializer or plain `;` to be a variable.
@@ -270,7 +250,7 @@ class Analysis {
   void ScanAssignments(const Stmt& stmt, std::vector<Finding>* out) {
     for (size_t j = stmt.begin; j + 1 < stmt.end; ++j) {
       const Token* t = code_[j];
-      if (!IsIdentTok(t)) continue;
+      if (!IsIdent(t)) continue;
       auto view_it = locals_.views.find(t->text);
       if (view_it == locals_.views.end()) continue;
       // `obj.view = ...` assigns a member, not our local.
@@ -311,7 +291,7 @@ class Analysis {
     ++j;
     if (j >= stmt.end) return;
     const Token* t = code_[j];
-    if (!IsIdentTok(t)) {
+    if (!IsIdent(t)) {
       // `return std::string_view(owner)` / `return {owner, n}` when the
       // function returns a view.
       if (fn_.returns_view) {

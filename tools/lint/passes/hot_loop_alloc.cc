@@ -19,14 +19,6 @@
 namespace alicoco::lint {
 namespace {
 
-bool IsIdentTok(const Token* t) {
-  return t != nullptr && t->kind == TokenKind::kIdentifier;
-}
-
-bool IsPunct(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
-}
-
 bool IsHotPath(const std::string& path) {
   return path.rfind("src/nn/", 0) == 0 || path.rfind("src/matching/", 0) == 0 ||
          path.rfind("src/pipeline/", 0) == 0;
@@ -39,18 +31,6 @@ bool IsContainerType(const std::string& name) {
       "deque",         "list",          "ostringstream",
       "stringstream"};
   return kTypes.count(name) != 0;
-}
-
-/// Matches `std :: <name>` ending at index `j` of the name.
-bool StdName(const std::vector<const Token*>& code, size_t j,
-             std::string* name) {
-  if (!IsIdentTok(code[j])) return false;
-  if (j < 2) return false;
-  if (!IsPunct(code[j - 1], "::")) return false;
-  const Token* root = code[j - 2];
-  if (!IsIdentTok(root) || root->text != "std") return false;
-  *name = code[j]->text;
-  return true;
 }
 
 class Analysis {
@@ -70,9 +50,9 @@ class Analysis {
             continue;
           }
           const Token* t = code_[j];
-          if (IsIdentTok(t) && j + 3 < s.end &&
+          if (IsIdent(t) && j + 3 < s.end &&
               (IsPunct(code_[j + 1], ".") || IsPunct(code_[j + 1], "->")) &&
-              IsIdentTok(code_[j + 2]) && code_[j + 2]->text == "reserve" &&
+              IsIdent(code_[j + 2]) && code_[j + 2]->text == "reserve" &&
               IsPunct(code_[j + 3], "(")) {
             reserved_.insert(t->text);
           }
@@ -85,7 +65,7 @@ class Analysis {
     if (stmt.loop_depth <= 0) return;
     for (size_t j = stmt.begin; j < stmt.end; ++j) {
       const Token* t = code_[j];
-      if (!IsIdentTok(t)) continue;
+      if (!IsIdent(t)) continue;
       const Token* prev = j > 0 ? code_[j - 1] : nullptr;
 
       // Shape 1: `new` inside a loop. `operator new` overloads and
@@ -110,7 +90,7 @@ class Analysis {
         // require an identifier not preceded by `&`/`*` (references and
         // pointers don't construct) and not `static` (constructed once).
         size_t k = SkipTemplateArgs(stmt, j + 1);
-        if (k < stmt.end && IsIdentTok(code_[k]) && !IsStaticDecl(stmt, j)) {
+        if (k < stmt.end && IsIdent(code_[k]) && !IsStaticDecl(stmt, j)) {
           Report(out, code_[k]->line,
                  "std::" + std_name + " '" + code_[k]->text +
                      "' is constructed every loop iteration; declare it "
@@ -121,7 +101,7 @@ class Analysis {
 
       // Shape 3: growing an un-reserve()d local vector.
       if (j + 3 < stmt.end && IsPunct(code_[j + 1], ".") &&
-          IsIdentTok(code_[j + 2]) &&
+          IsIdent(code_[j + 2]) &&
           (code_[j + 2]->text == "push_back" ||
            code_[j + 2]->text == "emplace_back") &&
           IsPunct(code_[j + 3], "(") && !IsPunct(prev, ".") &&
@@ -142,7 +122,7 @@ class Analysis {
   /// i.e. a vector that starts empty and will reallocate as it grows.
   void RecordVectorDecl(const Stmt& stmt, size_t j) {
     size_t k = SkipTemplateArgs(stmt, j + 1);
-    if (k >= stmt.end || !IsIdentTok(code_[k])) return;
+    if (k >= stmt.end || !IsIdent(code_[k])) return;
     const std::string& name = code_[k]->text;
     const Token* after = k + 1 < stmt.end ? code_[k + 1] : nullptr;
     bool empty_init = after == nullptr || IsPunct(after, ";");
@@ -170,7 +150,7 @@ class Analysis {
 
   bool IsStaticDecl(const Stmt& stmt, size_t std_index) const {
     for (size_t j = stmt.begin; j < std_index; ++j) {
-      if (IsIdentTok(code_[j]) &&
+      if (IsIdent(code_[j]) &&
           (code_[j]->text == "static" || code_[j]->text == "thread_local")) {
         return true;
       }

@@ -32,15 +32,6 @@ std::string Resolve(const ProjectIndex& index, const IncludeSite& inc) {
   return "";
 }
 
-std::string DescribeCycle(const std::vector<std::string>& cycle) {
-  std::string out;
-  for (size_t i = 0; i < cycle.size(); ++i) {
-    if (i != 0) out += " -> ";
-    out += cycle[i];
-  }
-  return out;
-}
-
 }  // namespace
 
 std::vector<Finding> RunIncludeGraphPass(const ProjectIndex& index,
@@ -81,7 +72,7 @@ std::vector<Finding> RunIncludeGraphPass(const ProjectIndex& index,
     f.file = site != nullptr ? site->file : cycle[0];
     f.line = site != nullptr ? site->line : 1;
     f.rule = "include-cycle";
-    f.message = "include cycle: " + DescribeCycle(cycle);
+    f.message = "include cycle: " + JoinStrings(cycle, " -> ");
     findings.push_back(std::move(f));
   }
 

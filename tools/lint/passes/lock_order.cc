@@ -20,22 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "tools/lint/passes/interproc.h"
 #include "tools/lint/passes/passes.h"
 
 namespace alicoco::lint {
-namespace {
-
-std::string DescribeCycle(const std::vector<std::string>& cycle) {
-  std::string out;
-  for (size_t i = 0; i < cycle.size(); ++i) {
-    if (i != 0) out += " -> ";
-    out += cycle[i];
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<Finding> RunLockOrderPass(const ProjectIndex& index) {
   // Mutex member declarations, unioned across files so a .cc resolves
@@ -124,7 +113,7 @@ std::vector<Finding> RunLockOrderPass(const ProjectIndex& index) {
                   "reentrant, so this deadlocks";
     } else {
       f.message = "lock-order cycle (potential deadlock): " +
-                  DescribeCycle(cycle);
+                  JoinStrings(cycle, " -> ");
     }
     findings.push_back(std::move(f));
   }

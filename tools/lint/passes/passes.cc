@@ -7,6 +7,16 @@
 
 namespace alicoco::lint {
 
+bool StdName(const std::vector<const Token*>& code, size_t j,
+             std::string* name) {
+  if (j < 2 || !IsIdent(code[j]) || !IsPunct(code[j - 1], "::") ||
+      !IsIdent(code[j - 2], "std")) {
+    return false;
+  }
+  *name = code[j]->text;
+  return true;
+}
+
 const std::vector<PassInfo>& PassRegistry() {
   static const std::vector<PassInfo> kPasses = {
       {"include-cycle",

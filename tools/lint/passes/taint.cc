@@ -46,22 +46,6 @@
 namespace alicoco::lint {
 namespace {
 
-bool IsIdentTok(const Token* t) {
-  return t != nullptr && t->kind == TokenKind::kIdentifier;
-}
-
-bool IsIdent(const Token* t, std::string_view text) {
-  return IsIdentTok(t) && t->text == text;
-}
-
-bool IsPunct(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
-}
-
-bool IsNumber(const Token* t) {
-  return t != nullptr && t->kind == TokenKind::kNumber;
-}
-
 /// Declared width in bits of an integer type name, or 0 for non-integer
 /// types (doubles, strings, pointers-to-struct — not tracked).
 int IntWidth(const std::string& type) {
@@ -118,7 +102,7 @@ int ReaderWidth(const std::string& name) {
 /// literal, a kCamelCase / ALL_CAPS identifier, or sizeof.
 bool IsConstantShaped(const Token* t) {
   if (IsNumber(t)) return true;
-  if (!IsIdentTok(t)) return false;
+  if (!IsIdent(t)) return false;
   const std::string& s = t->text;
   if (s == "sizeof") return true;
   if (s.size() >= 2 && s[0] == 'k' &&
@@ -353,7 +337,7 @@ class Analysis {
       }
       // `% const` and `& literal` bound whatever they touch.
       if ((IsPunct(t, "%") || IsPunct(t, "&")) && j > begin &&
-          (IsIdentTok(code_[j - 1]) || IsNumber(code_[j - 1]) ||
+          (IsIdent(code_[j - 1]) || IsNumber(code_[j - 1]) ||
            IsPunct(code_[j - 1], ")")) &&
           IsConstantShaped(At(j + 1))) {
         masked = true;
@@ -366,7 +350,7 @@ class Analysis {
         any = true;
         continue;
       }
-      if (!IsIdentTok(t)) continue;
+      if (!IsIdent(t)) continue;
       const Token* prev = j > 0 ? code_[j - 1] : nullptr;
       // `std::min(x, kCap)` bounds its result.
       if (t->text == "min" && IsPunct(At(j + 1), "(")) {
@@ -395,7 +379,7 @@ class Analysis {
         std::string callee = t->text;
         size_t call_open = j + 1;
         if (t->text == "std" && IsPunct(At(j + 1), "::") &&
-            IsIdentTok(At(j + 2)) && IsPunct(At(j + 3), "(")) {
+            IsIdent(At(j + 2)) && IsPunct(At(j + 3), "(")) {
           callee = At(j + 2)->text;
           call_open = j + 3;
           j += 2;
@@ -471,7 +455,7 @@ class Analysis {
   bool IsBinaryMulAt(size_t j, size_t begin) const {
     if (j <= begin) return false;
     const Token* prev = code_[j - 1];
-    return IsIdentTok(prev) || IsNumber(prev) || IsPunct(prev, ")") ||
+    return IsIdent(prev) || IsNumber(prev) || IsPunct(prev, ")") ||
            IsPunct(prev, "]");
   }
 
@@ -484,7 +468,7 @@ class Analysis {
       const Token* t = code_[close];
       if (IsPunct(t, "<")) ++depth;
       if (IsPunct(t, ">") && --depth == 0) break;
-      if (IsIdentTok(t)) {
+      if (IsIdent(t)) {
         const int w = IntWidth(t->text);
         if (w != 0) width = w;
       }
@@ -499,7 +483,7 @@ class Analysis {
   TaintVal OperandBefore(size_t j, size_t begin, const TaintState& state) const {
     const Token* prev = j > 0 ? code_[j - 1] : nullptr;
     if (IsNumber(prev)) return EvalRange(j - 1, j, state);
-    if (IsIdentTok(prev)) {
+    if (IsIdent(prev)) {
       const Token* prev2 = j >= 2 ? code_[j - 2] : nullptr;
       if (IsPunct(prev2, ".") || IsPunct(prev2, "->") ||
           IsPunct(prev2, "::")) {
@@ -535,7 +519,7 @@ class Analysis {
   TaintVal OperandAfter(size_t j, size_t end, const TaintState& state) const {
     const Token* next = At(j + 1);
     if (IsNumber(next)) return EvalRange(j + 1, j + 2, state);
-    if (IsIdentTok(next) && next->text == "static_cast") {
+    if (IsIdent(next) && next->text == "static_cast") {
       size_t stop = j + 1;
       int depth = 0;
       bool opened = false;
@@ -551,7 +535,7 @@ class Analysis {
       }
       return EvalRange(j + 1, stop, state);
     }
-    if (IsIdentTok(next) && !IsPunct(At(j + 2), "(") &&
+    if (IsIdent(next) && !IsPunct(At(j + 2), "(") &&
         !IsPunct(At(j + 2), "::") && !IsPunct(At(j + 2), ".") &&
         !IsPunct(At(j + 2), "->")) {
       auto it = state.find(next->text);
@@ -639,7 +623,7 @@ class Analysis {
   void ScanSources(const Stmt& stmt, TaintState* state, bool emit) {
     for (size_t j = stmt.begin; j < stmt.end && j < code_.size(); ++j) {
       const Token* t = code_[j];
-      if (!IsIdentTok(t) || !IsPunct(At(j + 1), "(")) continue;
+      if (!IsIdent(t) || !IsPunct(At(j + 1), "(")) continue;
       const Token* prev = j > 0 ? code_[j - 1] : nullptr;
       if (IsPunct(prev, ".") || IsPunct(prev, "->")) continue;
       const std::string& callee = t->text;
@@ -652,10 +636,10 @@ class Analysis {
         std::string var;
         bool addressed = false;
         if (pe == pb + 2 && IsPunct(code_[pb], "&") &&
-            IsIdentTok(code_[pb + 1])) {
+            IsIdent(code_[pb + 1])) {
           var = code_[pb + 1]->text;
           addressed = true;
-        } else if (pe == pb + 1 && IsIdentTok(code_[pb])) {
+        } else if (pe == pb + 1 && IsIdent(code_[pb])) {
           var = code_[pb]->text;
         }
         if (var.empty()) continue;
@@ -722,15 +706,15 @@ class Analysis {
       // value just like a compile-time cap — the bound is dynamic, but
       // an index checked against it cannot run off the container.
       auto is_extent_call = [&](size_t tok) {
-        return IsIdentTok(code_[tok]) &&
+        return IsIdent(code_[tok]) &&
                (IsPunct(At(tok + 1), ".") || IsPunct(At(tok + 1), "->")) &&
-               IsIdentTok(At(tok + 2)) &&
+               IsIdent(At(tok + 2)) &&
                (At(tok + 2)->text == "size" || At(tok + 2)->text == "length") &&
                IsPunct(At(tok + 3), "(");
       };
       auto cap = [&](const Token* var_tok, const Token* cap_tok,
                      bool extent) {
-        if (!IsIdentTok(var_tok)) return;
+        if (!IsIdent(var_tok)) return;
         if (!extent && !IsConstantShaped(cap_tok)) return;
         auto it = state->find(var_tok->text);
         if (it == state->end()) return;
@@ -785,7 +769,7 @@ class Analysis {
 
     const size_t lhs_end = compound.empty() ? eq : eq - 1;
     const Token* lhs_last = lhs_end > stmt.begin ? code_[lhs_end - 1] : nullptr;
-    if (!IsIdentTok(lhs_last)) return state;
+    if (!IsIdent(lhs_last)) return state;
     const std::string var = lhs_last->text;
 
     std::string rep;
@@ -814,7 +798,7 @@ class Analysis {
     // narrower type keeps the taint but narrows the lattice width.
     int declared = 0;
     for (size_t j = stmt.begin; j + 1 < lhs_end; ++j) {
-      if (IsIdentTok(code_[j])) {
+      if (IsIdent(code_[j])) {
         const int w = IntWidth(code_[j]->text);
         if (w != 0) declared = w;
       }
@@ -845,7 +829,7 @@ class Analysis {
     int width = 0;
     for (size_t j = begin; j < end && j < code_.size(); ++j) {
       const Token* t = code_[j];
-      if (IsIdentTok(t)) {
+      if (IsIdent(t)) {
         const int w = IntWidth(t->text);
         if (w != 0) {
           width = w;
@@ -865,7 +849,7 @@ class Analysis {
     for (size_t j = stmt.begin; j < stmt.end && j < code_.size(); ++j) {
       const Token* t = code_[j];
       // `.resize(n)` / `.reserve(n)` / `.assign(n, fill)`.
-      if ((IsPunct(t, ".") || IsPunct(t, "->")) && IsIdentTok(At(j + 1)) &&
+      if ((IsPunct(t, ".") || IsPunct(t, "->")) && IsIdent(At(j + 1)) &&
           IsPunct(At(j + 2), "(")) {
         const std::string& m = At(j + 1)->text;
         if (m == "resize" || m == "reserve" || m == "assign") {
@@ -880,7 +864,7 @@ class Analysis {
       // `new T[n]`.
       if (IsIdent(t, "new")) {
         size_t k = j + 1;
-        while (k < stmt.end && (IsIdentTok(code_[k]) ||
+        while (k < stmt.end && (IsIdent(code_[k]) ||
                                 IsPunct(code_[k], "::") ||
                                 IsPunct(code_[k], "<") ||
                                 IsPunct(code_[k], ">"))) {
@@ -894,7 +878,7 @@ class Analysis {
         }
         continue;
       }
-      if (!IsIdentTok(t)) continue;
+      if (!IsIdent(t)) continue;
       const Token* prev = j > 0 ? code_[j - 1] : nullptr;
       // Subscript on a tracked-or-any container: `v[expr]`.
       if (IsPunct(At(j + 1), "[") && !IsPunct(prev, "new") &&
@@ -928,8 +912,8 @@ class Analysis {
       // Container construction: `std::vector<T> v(n)` — the identifier
       // before the name is the container type (or its closing '>').
       if (IsPunct(prev, ">") ||
-          (IsIdentTok(prev) && IsContainerTypeName(prev->text))) {
-        bool container = IsIdentTok(prev) && IsContainerTypeName(prev->text);
+          (IsIdent(prev) && IsContainerTypeName(prev->text))) {
+        bool container = IsIdent(prev) && IsContainerTypeName(prev->text);
         if (IsPunct(prev, ">")) {
           size_t back = j - 1;
           int depth = 0;
@@ -938,7 +922,7 @@ class Analysis {
             if (IsPunct(code_[back], "<") && --depth == 0) break;
             --back;
           }
-          if (back > stmt.begin && IsIdentTok(code_[back - 1]) &&
+          if (back > stmt.begin && IsIdent(code_[back - 1]) &&
               IsContainerTypeName(code_[back - 1]->text)) {
             container = true;
           }
@@ -997,7 +981,7 @@ class Analysis {
   void RecordCallArgs(const Stmt& stmt, const TaintState& state) {
     for (size_t j = stmt.begin; j < stmt.end && j < code_.size(); ++j) {
       const Token* t = code_[j];
-      if (!IsIdentTok(t) || !IsPunct(At(j + 1), "(")) continue;
+      if (!IsIdent(t) || !IsPunct(At(j + 1), "(")) continue;
       const std::string& callee = t->text;
       // Skip keywords, macros (ALL_CAPS), builtins the sink scan owns,
       // and std-qualified names.
@@ -1015,7 +999,7 @@ class Analysis {
       CallKind kind = CallKind::kPlain;
       std::string qualifier;
       if (IsPunct(prev, "::")) {
-        if (j < 2 || !IsIdentTok(code_[j - 2])) continue;
+        if (j < 2 || !IsIdent(code_[j - 2])) continue;
         if (code_[j - 2]->text == "std") continue;
         kind = CallKind::kQualified;
         qualifier = code_[j - 2]->text;
@@ -1029,7 +1013,7 @@ class Analysis {
       auto pieces = ArgPieces(j + 1, stmt.end);
       for (size_t a = 0; a < pieces.size(); ++a) {
         auto [pb, pe] = pieces[a];
-        if (pe != pb + 1 || !IsIdentTok(code_[pb])) continue;
+        if (pe != pb + 1 || !IsIdent(code_[pb])) continue;
         auto it = state.find(code_[pb]->text);
         if (it == state.end()) continue;
         const TaintVal& v = it->second;
@@ -1366,8 +1350,6 @@ std::vector<Finding> RunTaintPass(const ProjectIndex& index,
         if (m != 0) ++stats->sink_params;
       }
     }
-    stats->cost_us = 2 * call_args + pending + 3 * rounds +
-                     stats->sink_params;
   }
   return findings;
 }

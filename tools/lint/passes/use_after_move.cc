@@ -16,18 +16,6 @@
 namespace alicoco::lint {
 namespace {
 
-bool IsIdentTok(const Token* t) {
-  return t != nullptr && t->kind == TokenKind::kIdentifier;
-}
-
-bool IsIdent(const Token* t, std::string_view text) {
-  return IsIdentTok(t) && t->text == text;
-}
-
-bool IsPunct(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
-}
-
 bool IsRevalidatingMethod(const std::string& name) {
   return name == "clear" || name == "reset" || name == "assign" ||
          name == "resize" || name == "swap";
@@ -99,13 +87,13 @@ class Analysis {
           continue;
         }
       }
-      if (!IsIdentTok(t)) continue;
+      if (!IsIdent(t)) continue;
 
       // `std::move(x)`: poison x. A move of an already-poisoned x is
       // itself a use and reported like one.
       if (t->text == "std" && IsPunct(At(j + 1), "::") &&
           IsIdent(At(j + 2), "move") && IsPunct(At(j + 3), "(") &&
-          IsIdentTok(At(j + 4)) && IsPunct(At(j + 5), ")")) {
+          IsIdent(At(j + 4)) && IsPunct(At(j + 5), ")")) {
         const std::string& var = At(j + 4)->text;
         auto it = state.find(var);
         if (it != state.end()) {
@@ -143,11 +131,11 @@ class Analysis {
                             IsPunct(code_[back - 1], "*"))) {
           --back;
         }
-        if (back > 0 && back != j && IsIdentTok(code_[back - 1])) {
+        if (back > 0 && back != j && IsIdent(code_[back - 1])) {
           state.erase(t->text);
           continue;
         }
-        const bool decl_prev = IsIdentTok(prev) || IsPunct(prev, ">");
+        const bool decl_prev = IsIdent(prev) || IsPunct(prev, ">");
         if (decl_prev &&
             (IsPunct(next, ";") || IsPunct(next, "=") || IsPunct(next, "(") ||
              IsPunct(next, "{") || IsPunct(next, ":") ||
@@ -157,7 +145,7 @@ class Analysis {
         }
       }
       // `x.clear()` and friends re-establish a known state.
-      if ((IsPunct(next, ".") || IsPunct(next, "->")) && IsIdentTok(At(j + 2)) &&
+      if ((IsPunct(next, ".") || IsPunct(next, "->")) && IsIdent(At(j + 2)) &&
           IsRevalidatingMethod(At(j + 2)->text) && IsPunct(At(j + 3), "(")) {
         state.erase(t->text);
         j += 2;
@@ -174,7 +162,7 @@ class Analysis {
       if ((t->text == "swap" || t->text == "exchange") &&
           IsPunct(next, "(")) {
         for (size_t k = j + 2; k < stmt.end && !IsPunct(code_[k], ")"); ++k) {
-          if (IsIdentTok(code_[k])) state.erase(code_[k]->text);
+          if (IsIdent(code_[k])) state.erase(code_[k]->text);
         }
         continue;
       }

@@ -5,17 +5,10 @@
 #include <set>
 #include <utility>
 
+#include "common/string_util.h"
+
 namespace alicoco::lint {
 namespace {
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
 
 std::string_view Basename(std::string_view path) {
   size_t slash = path.rfind('/');
@@ -38,14 +31,6 @@ std::vector<const Token*> CodeTokens(const FileContext& file) {
     if (t.kind != TokenKind::kComment) code.push_back(&t);
   }
   return code;
-}
-
-bool IsIdent(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kIdentifier && t->text == text;
-}
-
-bool IsPunct(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
 }
 
 const Token* At(const std::vector<const Token*>& code, size_t i) {
